@@ -1,10 +1,12 @@
 // Shard scaling: detect-stage throughput vs shard count.
 //
 // A sharded repository gives every shard its own detector context and worker
-// pool — the in-process stand-in for "one query spans machines". Under a
-// latency-bound detector (GPU inference or a remote model server), the
-// dispatcher overlaps the shards' sub-batches, so the detect stage's
-// frames/sec should scale with shard count while calls stay latency-bound.
+// pool — the in-process stand-in for "one query spans machines". Batches go
+// through the detector service over a loopback transport, whose per-shard
+// runner threads each drive their shard's pool. Under a latency-bound
+// detector (GPU inference or a remote model server), the runners overlap the
+// shards' sub-batches, so the detect stage's frames/sec should scale with
+// shard count while calls stay latency-bound.
 //
 // Companion to bench_ablation_batching's detect-stage table: that bench
 // scales threads within one detector; this one scales detector contexts.
@@ -47,10 +49,11 @@ void ShardScalingSweep(const BenchConfig& config) {
     auto sharded = video::ShardedRepository::ShardByClips(repo, shards).value();
 
     // One detector context per shard: simulated detections wrapped in the
-    // latency decorator, plus a private pool per shard.
+    // latency decorator. Each shard's runner gets a private pool.
     std::vector<std::unique_ptr<detect::SimulatedDetector>> bases;
     std::vector<std::unique_ptr<detect::ThrottledDetector>> throttled;
     std::vector<std::unique_ptr<common::ThreadPool>> pools;
+    std::vector<common::ThreadPool*> runner_pools;
     std::vector<query::ShardContext> contexts(shards);
     for (uint32_t s = 0; s < shards; ++s) {
       bases.push_back(std::make_unique<detect::SimulatedDetector>(
@@ -58,25 +61,39 @@ void ShardScalingSweep(const BenchConfig& config) {
       throttled.push_back(
           std::make_unique<detect::ThrottledDetector>(bases.back().get(), kLatencySeconds));
       pools.push_back(std::make_unique<common::ThreadPool>(kThreadsPerShard));
+      runner_pools.push_back(pools.back().get());
       contexts[s].detector = throttled.back().get();
-      contexts[s].pool = pools.back().get();
     }
-    query::ShardDispatcher dispatcher(&sharded, std::move(contexts),
-                                      /*parallel_shards=*/true);
+    query::ShardDispatcher dispatcher(&sharded, std::move(contexts));
+    query::LoopbackTransport transport(shards, runner_pools);
+    query::DetectorServiceOptions service_options;
+    service_options.device_batch = kBatch;
+    service_options.transport = &transport;
+    query::DetectorService service(service_options, shards);
 
     // Strided frame walk spreading every batch across all shards, as a
     // strategy's global picks do.
     std::vector<video::FrameId> frames;
+    std::vector<uint32_t> owners;
     uint64_t processed = 0;
     video::FrameId frame = 0;
     const auto start = std::chrono::steady_clock::now();
     while (processed < kFramesToProcess) {
       frames.clear();
+      owners.clear();
       for (size_t b = 0; b < kBatch; ++b) {
         frame = (frame + 104729) % kFrames;
         frames.push_back(frame);
+        owners.push_back(dispatcher.ShardOfFrame(frame));
       }
-      dispatcher.DetectBatch(frames);
+      query::DetectorService::DetectRequest request;
+      request.session_id = 1;
+      request.frames = common::Span<const video::FrameId>(frames.data(), frames.size());
+      request.shards = common::Span<const uint32_t>(owners.data(), owners.size());
+      request.dispatcher = &dispatcher;
+      const query::DetectorService::Ticket ticket = service.Submit(request);
+      service.Flush();
+      service.Take(ticket);
       processed += frames.size();
     }
     const double seconds =

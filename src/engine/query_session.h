@@ -122,7 +122,8 @@ class QuerySession {
   /// steps granted to this session, frames submitted through the shared
   /// detector service, and how many of its frames/device batches were
   /// coalesced with other sessions'. All zeros (except `steps_granted`) when
-  /// the engine does not coalesce (`EngineConfig::coalesce_detect`).
+  /// the engine has no service (unsharded, without
+  /// `EngineConfig::coalesce_detect`).
   const query::SessionSchedulerStats& scheduler_stats() const {
     return scheduler_stats_;
   }
@@ -169,8 +170,8 @@ class QuerySession {
   std::unique_ptr<video::SimulatedVideoStore> store_;
   std::vector<std::unique_ptr<video::SimulatedVideoStore>> shard_stores_;
   // Sharded engines: one detector context per shard plus the dispatcher that
-  // routes batches to them (detector noise streams stay per-query, so each
-  // session owns its shard detectors; pools are shared via the engine).
+  // names each frame's owner (detector noise streams stay per-query, so each
+  // session owns its shard detectors; the engine's service runs them).
   std::vector<std::unique_ptr<detect::ObjectDetector>> shard_detectors_;
   std::unique_ptr<query::ShardDispatcher> shard_dispatcher_;
   std::unique_ptr<track::Discriminator> discriminator_;

@@ -137,27 +137,13 @@ common::ThreadPool* SearchEngine::io_pool() {
   return io_pool_.get();
 }
 
-common::ThreadPool* SearchEngine::shard_pool(uint32_t shard) {
-  if (config_.threads_per_shard == 0) return thread_pool();
-  if (shard_pools_.empty()) {
-    shard_pools_.resize(sharded_->NumShards());
-  }
-  if (shard_pools_[shard] == nullptr) {
-    shard_pools_[shard] =
-        std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
-            config_.threads_per_shard, config_.placement.worker_cpus});
-  }
-  return shard_pools_[shard].get();
-}
-
 query::DetectorService* SearchEngine::detector_service() {
-  if (!config_.coalesce_detect) return nullptr;
+  // Sharded sessions detect only through the service (a solo sharded
+  // session coalesces at width 1); unsharded ones only when asked to.
+  if (!config_.coalesce_detect && sharded_ == nullptr) return nullptr;
   if (detector_service_ == nullptr) {
     query::DetectorServiceOptions options;
     options.device_batch = std::max<size_t>(1, config_.device_batch);
-    // Mirror the dispatcher's parallelism rule: shards flush concurrently
-    // only when each owns a private pool (ParallelFor is single-driver).
-    options.parallel_shards = sharded_ != nullptr && config_.threads_per_shard > 0;
     options.max_retries = config_.transport_max_retries;
     if (config_.flush_deadline_seconds > 0.0) {
       options.flush_policy = query::FlushPolicy::kLatencyAware;
@@ -166,10 +152,19 @@ query::DetectorService* SearchEngine::detector_service() {
     const size_t num_shards = sharded_ != nullptr ? sharded_->NumShards() : 1;
     std::vector<common::ThreadPool*> pools;
     if (sharded_ != nullptr && config_.threads_per_shard > 0) {
-      pools.reserve(num_shards);
-      for (uint32_t s = 0; s < num_shards; ++s) pools.push_back(shard_pool(s));
+      for (uint32_t s = 0; s < num_shards; ++s) {
+        shard_pools_.push_back(
+            std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
+                config_.threads_per_shard, config_.placement.worker_cpus}));
+        pools.push_back(shard_pools_.back().get());
+      }
     }
-    if (config_.transport == TransportKind::kLoopback) {
+    if (config_.transport == TransportKind::kLocal) {
+      // In process: each batch runs on the coordinator, fanned over its
+      // shard's private pool or the engine-wide one.
+      transport_ = std::make_unique<query::LocalTransport>(num_shards, pools,
+                                                           thread_pool());
+    } else if (config_.transport == TransportKind::kLoopback) {
       // The RPC stand-in: per-shard runner threads fed wire bytes. Each
       // runner drives its shard's private pool (or detects inline); requests
       // are stamped with the repository fingerprint so a mis-deployed runner
@@ -184,7 +179,6 @@ query::DetectorService* SearchEngine::detector_service() {
       }
       transport_ = std::make_unique<query::LoopbackTransport>(num_shards, pools,
                                                               loopback);
-      options.transport = transport_.get();
     } else if (config_.transport == TransportKind::kSocket) {
       // The real thing: TCP connections to one `exsample_shardd` per shard.
       // Sessions deploy over the RegisterSessionMsg control plane, and the
@@ -194,10 +188,9 @@ query::DetectorService* SearchEngine::detector_service() {
                     "socket transport needs one shard host per shard");
       transport_ =
           std::make_unique<query::SocketTransport>(num_shards, config_.socket);
-      options.transport = transport_.get();
     }
-    detector_service_ = std::make_unique<query::DetectorService>(
-        options, num_shards, std::move(pools), thread_pool());
+    options.transport = transport_.get();
+    detector_service_ = std::make_unique<query::DetectorService>(options, num_shards);
     if (config_.collect_stats) {
       // The service's hot-path ticks and its submit→grant / transport
       // latency records all run on the coordinator thread that drives
@@ -302,7 +295,6 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
       if (sharded_->Shard(s).TotalFrames() == 0) continue;
       auto detector = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
       contexts[s].detector = detector.get();
-      contexts[s].pool = shard_pool(s);
       if (config_.simulate_decode) {
         // Per-shard decode: each shard owns its position state (and,
         // optionally, its private I/O pool), so a shard's sequential-read
@@ -316,9 +308,8 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
       }
       session->shard_detectors_.push_back(std::move(detector));
     }
-    session->shard_dispatcher_ = std::make_unique<query::ShardDispatcher>(
-        sharded_, std::move(contexts),
-        /*parallel_shards=*/config_.threads_per_shard > 0);
+    session->shard_dispatcher_ =
+        std::make_unique<query::ShardDispatcher>(sharded_, std::move(contexts));
   } else {
     session->detector_ = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
     if (config_.simulate_decode) {
@@ -352,9 +343,10 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   // as their detect stages share the detect pool.
   session_options.prefetch_depth = config_.prefetch_depth;
   session_options.decode_pool = io_pool();
-  // Cross-session detect coalescing: every session of a coalescing engine
-  // submits to the one shared service (solo runs flush themselves at width
-  // 1 — bit-identical, which is the contract the sched suite checks).
+  // Cross-session detect coalescing: every session of a coalescing or
+  // sharded engine submits to the one shared service (solo runs flush
+  // themselves at width 1 — bit-identical, which is the contract the sched
+  // suite checks).
   session_options.detector_service = detector_service();
   session_options.service_session_id = next_session_id_++;
   // The configuration the session's RegisterSessionMsg ships: a remote shard
@@ -502,7 +494,7 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
   // step grants from coordinator-side tallies (it can weight sessions, not
   // change what they compute); the grants are executed in *waves*: every
   // session in a wave begins its step (submitting its detect work to the
-  // shared service when coalescing is on), the service flushes the merged
+  // shared service when the engine has one), the service flushes the merged
   // queues as full cross-session device batches, and the wave's sessions
   // finish their steps in submission order. A session scheduled twice in a
   // round closes the current wave first — a wave holds at most one pending

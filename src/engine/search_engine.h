@@ -50,10 +50,12 @@ enum class Method {
 /// \brief Returns the lowercase name of a method.
 const char* MethodName(Method method);
 
-/// \brief Which transport executes the shared detect service's coalesced
-/// device batches (`EngineConfig::coalesce_detect`).
+/// \brief Which transport executes the shared detect service's device
+/// batches (engines with `EngineConfig::coalesce_detect` or shards).
 enum class TransportKind {
-  /// In-process execution — the zero-copy path, and the default.
+  /// In-process execution (`query::LocalTransport`): each batch runs on the
+  /// coordinator with no serialization — the zero-copy path, and the
+  /// default.
   kLocal,
   /// Wire-serialized execution on per-shard runner threads
   /// (`query::LoopbackTransport`): every device batch crosses the versioned
@@ -154,15 +156,18 @@ struct EngineConfig {
   /// under-filled batch per session. Never changes a trace (each frame is
   /// still detected by its own session's detector context, per-frame
   /// deterministically; the `sched` suite enforces bit-identity against
-  /// solo runs). False (the default) keeps the per-session detect stage.
+  /// solo runs). False (the default) keeps the per-session detect stage on
+  /// unsharded engines; sharded engines (`num_shards > 1` or a
+  /// `ShardedRepository`) always detect through the service.
   bool coalesce_detect = false;
   /// Target frames per coalesced device batch ("one GPU inference call's
   /// worth"); the service's fill-rate statistic is measured against it.
   size_t device_batch = 32;
   /// Which transport executes the service's device batches: in process
-  /// (`kLocal`, the default) or wire-serialized onto per-shard runner
-  /// threads (`kLoopback`, the RPC stand-in). Only read with
-  /// `coalesce_detect`; traces are identical either way.
+  /// (`kLocal`, the default), wire-serialized onto per-shard runner threads
+  /// (`kLoopback`, the RPC stand-in), or over TCP (`kSocket`). Read by every
+  /// engine that has a service — `coalesce_detect` or sharded; traces are
+  /// identical either way.
   TransportKind transport = TransportKind::kLocal;
   /// When > 0 (seconds, wall clock), the service flushes latency-aware
   /// (`query::FlushPolicy::kLatencyAware`): a shard's queue ships the moment
@@ -226,15 +231,19 @@ struct EngineConfig {
   /// Shard the repository into this many contiguous, clip-aligned shards,
   /// each serving its frames with its own detector context (the in-process
   /// stand-in for "one query spans machines"). Picked batches are routed per
-  /// shard and the per-shard partial traces merge into a global trace
+  /// shard through the detect service and the per-shard partial traces merge into a global trace
   /// identical to the single-repository run — shard count never changes a
   /// trace (proven by the shard equivalence suite). 1 (the default) executes
   /// unsharded. Ignored when the engine is constructed over an explicit
   /// `ShardedRepository`, whose own shard count wins.
   size_t num_shards = 1;
   /// Threads in each shard's private detect pool ("one GPU's worth" per
-  /// shard); shards then detect their sub-batches concurrently. 0 (the
-  /// default) shares the engine-wide pool across shards, one shard at a time.
+  /// shard), handed to the shard's transport runner. Shards detect
+  /// concurrently only over a transport with per-shard runner threads
+  /// (`kLoopback`); `kLocal` runs the shards one at a time on the
+  /// coordinator, each over its own pool. 0 (the default) shares the
+  /// engine-wide pool under `kLocal` and detects inline on each runner
+  /// thread under `kLoopback`.
   size_t threads_per_shard = 0;
 
   /// CPU placement of the engine's worker / I/O / shard-runner threads.
@@ -318,8 +327,8 @@ class SearchEngine {
   /// \brief Executes many queries over the shared engine state. Each round,
   /// the configured `SessionScheduler` plans which sessions step (fair
   /// round-robin by default; priority/deadline variants reorder and weight
-  /// the grants); with `coalesce_detect`, the scheduled sessions submit
-  /// their batches to the shared `DetectorService`, which flushes them as
+  /// the grants); with a service (`coalesce_detect`, or sharded), the
+  /// scheduled sessions submit their batches to it, and it flushes them as
   /// full cross-session device batches. Returns one trace per spec, in
   /// order. Results are identical to running the specs one at a time — per-
   /// query state is isolated in the sessions, scheduling only reorders step
@@ -365,13 +374,14 @@ class SearchEngine {
   const video::ShardedRepository* sharded_repository() const { return sharded_; }
 
   /// \brief The shared cross-session detect service, created lazily on first
-  /// use. Null when `config.coalesce_detect` is off (sessions then run their
-  /// own detect stages). Exposes coalescing stats (device-batch fill rate,
-  /// shared batches) for observability.
+  /// use. Null only for an unsharded engine with `config.coalesce_detect`
+  /// off (sessions then run their own detect stages). Exposes coalescing
+  /// stats (device-batch fill rate, shared batches) for observability.
   query::DetectorService* detector_service();
 
-  /// \brief The transport the detect service executes over, or null for the
-  /// in-process path (`config.transport == kLocal`, or no service). Exposes
+  /// \brief The transport the detect service executes over (`LocalTransport`
+  /// for `config.transport == kLocal`). Null until `detector_service()` has
+  /// built the service, and always null for an engine without one. Exposes
   /// wire stats (batches, bytes, injected failures) for observability.
   const query::ShardTransport* shard_transport() const { return transport_.get(); }
 
@@ -400,10 +410,6 @@ class SearchEngine {
   std::string StatsJson();
 
  private:
-  /// The pool a shard's detect stage fans out over: the shard's private pool
-  /// when `config.threads_per_shard > 0` (created lazily, shared by all
-  /// sessions), else the engine-wide pool.
-  common::ThreadPool* shard_pool(uint32_t shard);
   /// The pool a shard's decode prefetch runs on: the shard's private I/O pool
   /// when `config.io_threads_per_shard > 0` (created lazily, shared by all
   /// sessions), else null (the prefetcher falls back to the engine I/O pool).
@@ -431,12 +437,12 @@ class SearchEngine {
   std::unique_ptr<common::ThreadPool> pool_;
   // Engine-wide I/O pool shared by all sessions' decode prefetchers.
   std::unique_ptr<common::ThreadPool> io_pool_;
-  // Wire transport behind the detect service (config.transport == kLoopback),
-  // created with the service. Declared before the service so the service —
+  // Transport behind the detect service (config.transport), created with
+  // the service. Declared before the service so the service —
   // whose flush loop leaves the transport empty — is destroyed first, and
   // the runner threads are joined after no coordinator can reach them.
   std::unique_ptr<query::ShardTransport> transport_;
-  // Shared cross-session detect service (config.coalesce_detect), lazy.
+  // Shared detect service (config.coalesce_detect or sharded), lazy.
   std::unique_ptr<query::DetectorService> detector_service_;
   // Session identities for the service's shared-batch attribution.
   uint64_t next_session_id_ = 1;
@@ -448,7 +454,8 @@ class SearchEngine {
   // engine's lifetime.
   stats::CounterRegistry registry_;
   stats::StageTimer stage_timer_;
-  // Per-shard private pools (config.threads_per_shard > 0), lazily created.
+  // Per-shard private detect pools (config.threads_per_shard > 0), created
+  // with the service; each drives its shard's transport runner.
   std::vector<std::unique_ptr<common::ThreadPool>> shard_pools_;
   // Per-shard private I/O pools (config.io_threads_per_shard > 0), lazy.
   std::vector<std::unique_ptr<common::ThreadPool>> shard_io_pools_;

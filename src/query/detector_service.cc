@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 namespace exsample {
@@ -37,19 +36,15 @@ ServiceStatsBinding ServiceStatsBinding::Bind(stats::CounterRegistry* registry,
   return binding;
 }
 
-DetectorService::DetectorService(DetectorServiceOptions options, size_t num_shards,
-                                 std::vector<common::ThreadPool*> pools,
-                                 common::ThreadPool* default_pool)
-    : options_(options), pools_(std::move(pools)), default_pool_(default_pool) {
+DetectorService::DetectorService(DetectorServiceOptions options, size_t num_shards)
+    : options_(options) {
   common::Check(options_.device_batch >= 1, "device batch must hold a frame");
   common::Check(num_shards >= 1, "detector service needs at least one shard queue");
-  common::Check(pools_.empty() || pools_.size() == num_shards,
-                "per-shard pools must cover every shard");
+  common::Check(options_.transport != nullptr,
+                "detector service needs a transport (LocalTransport in process)");
   queues_.resize(num_shards);
   shard_down_.assign(num_shards, false);
-  if (options_.transport != nullptr) {
-    options_.transport->BindLocalResolver(&directory_);
-  }
+  options_.transport->BindLocalResolver(&directory_);
 }
 
 DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
@@ -59,14 +54,13 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   common::Check(request.dispatcher != nullptr || request.detector != nullptr,
                 "detect request needs a detector or a dispatcher");
 
-  // First submit of a session over a transport: deploy its detector state to
-  // the runners before any wire batch can reference it. Two halves — publish
-  // the in-process detector pointers in the local directory (what the bound
+  // First submit of a session: deploy its detector state to the runners
+  // before any wire batch can reference it. Two halves — publish the
+  // in-process detector pointers in the local directory (what the bound
   // resolver serves local/loopback runners), and ship the session's
   // `RegisterSessionMsg` through the transport's control plane (what a
   // remote runner materializes an equivalent detector from).
-  if (options_.transport != nullptr &&
-      registered_sessions_.insert(request.session_id).second) {
+  if (registered_sessions_.insert(request.session_id).second) {
     if (request.dispatcher != nullptr) {
       for (uint32_t s = 0; s < request.dispatcher->NumShards(); ++s) {
         detect::ObjectDetector* detector = request.dispatcher->Context(s).detector;
@@ -74,9 +68,8 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
       }
     } else {
       // A dispatcher-less session serves every one of its frames with the
-      // one detector, whatever shard owns them (the in-process path does
-      // exactly that) — register it under every shard id a wire slot could
-      // name.
+      // one detector, whatever shard owns them — register it under every
+      // shard id a wire slot could name.
       for (uint32_t s = 0; s < queues_.size(); ++s) {
         directory_.Register(request.session_id, s, request.detector);
       }
@@ -217,31 +210,8 @@ void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
     if (pr.request.prefetcher != nullptr) pr.request.prefetcher->Drain();
   }
 
-  // Execution.
-  if (options_.transport != nullptr) {
-    SendAndCollect(work);
-    if (!transport_status_.ok()) return;  // Everything pending was cancelled.
-  } else if (options_.parallel_shards && work.size() > 1) {
-    // One dispatch thread per owning shard, each driving that shard's own
-    // pool. A shard thread never touches the shared default pool: ParallelFor
-    // is single-driver, so shards without a private pool run their slices
-    // inline on their dispatch thread.
-    common::ThreadPool* default_pool = default_pool_;
-    default_pool_ = nullptr;
-    std::vector<std::thread> threads;
-    threads.reserve(work.size());
-    for (const ShardWork& shard_work : work) {
-      const uint32_t shard = shard_work.first;
-      const std::vector<WorkItem>* entries = &shard_work.second;
-      threads.emplace_back([this, shard, entries] { RunShardEntries(shard, *entries); });
-    }
-    for (std::thread& t : threads) t.join();
-    default_pool_ = default_pool;
-  } else {
-    for (const ShardWork& shard_work : work) {
-      RunShardEntries(shard_work.first, shard_work.second);
-    }
-  }
+  SendAndCollect(work);
+  if (!transport_status_.ok()) return;  // Everything pending was cancelled.
 
   // Bookkeeping, on the coordinator after every slice completed. Slice
   // boundaries are a pure function of the extracted queues, so the tallies
@@ -279,36 +249,7 @@ void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
 void DetectorService::UnregisterSession(uint64_t session_id) {
   if (registered_sessions_.erase(session_id) > 0) {
     directory_.Unregister(session_id);
-    if (options_.transport != nullptr) {
-      options_.transport->UnregisterSession(session_id);
-    }
-  }
-}
-
-void DetectorService::RunShardEntries(uint32_t shard,
-                                      const std::vector<WorkItem>& entries) {
-  common::ThreadPool* pool =
-      shard < pools_.size() && pools_[shard] != nullptr ? pools_[shard] : default_pool_;
-  // Slice the extracted queue into device batches and fan each across the
-  // shard's pool. Results land in fixed per-request slots, so neither the
-  // slicing nor the pool size can reorder what any session observes.
-  for (size_t begin = 0; begin < entries.size(); begin += options_.device_batch) {
-    const size_t count = std::min(options_.device_batch, entries.size() - begin);
-    const auto detect_one = [&](size_t j) {
-      const WorkItem& entry = entries[begin + j];
-      PendingRequest& pr = *entry.request;
-      detect::ObjectDetector* detector =
-          pr.request.dispatcher != nullptr
-              ? pr.request.dispatcher->Context(shard).detector
-              : pr.request.detector;
-      pr.results[entry.frame_index] =
-          detector->Detect(pr.request.frames[entry.frame_index]);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(count, detect_one);
-    } else {
-      for (size_t j = 0; j < count; ++j) detect_one(j);
-    }
+    options_.transport->UnregisterSession(session_id);
   }
 }
 
@@ -352,9 +293,8 @@ void DetectorService::BookSlices(uint32_t shard,
     }
   }
   // Per-session dispatcher stats: book each request's frames on this shard
-  // as one service-detected batch, mirroring what the session's own
-  // `ShardDispatcher::DetectBatch` call would have recorded. A request's
-  // entries are contiguous and ticket-ascending (queues append per submit).
+  // as one detected batch. A request's entries are contiguous and
+  // ticket-ascending (queues append per submit).
   size_t i = 0;
   while (i < entries.size()) {
     const Ticket ticket = entries[i].ticket;

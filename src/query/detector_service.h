@@ -9,7 +9,6 @@
 
 #include "common/span.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "detect/detector.h"
 #include "query/prefetch.h"
 #include "query/scheduler.h"
@@ -69,25 +68,20 @@ enum class FlushPolicy {
 /// \brief Coalescing configuration of a `DetectorService`.
 struct DetectorServiceOptions {
   /// Target frames per coalesced device batch: a flush slices each shard's
-  /// merged queue into `DetectBatch`-style calls of at most this many frames.
-  /// The fill-rate statistic is measured against it ("how full were the
-  /// device batches we paid for"). Must be >= 1.
+  /// merged queue into wire batches of at most this many frames. The
+  /// fill-rate statistic is measured against it ("how full were the device
+  /// batches we paid for"). Must be >= 1.
   size_t device_batch = 32;
-  /// Flush the shards' sliced device batches concurrently, one dispatch
-  /// thread per owning shard (each driving its own shard's pool) — the same
-  /// stand-in for per-machine shard detectors `ShardDispatcher` uses.
-  /// In-process execution only; a transport's runners are already
-  /// per-shard-parallel.
-  bool parallel_shards = false;
   /// When a shard's queue is executed (see `FlushPolicy`).
   FlushPolicy flush_policy = FlushPolicy::kRoundBarrier;
   /// Age bound of `FlushPolicy::kLatencyAware`'s deadline trigger, in
   /// wall-clock seconds; 0 leaves only the batch-fill trigger.
   double flush_deadline_seconds = 0.0;
-  /// Executes the sliced device batches when set: every slice crosses this
-  /// transport as a wire batch and its response is scattered back by ticket.
-  /// Null executes in process (today's path). The transport must outlive the
-  /// service; the service binds its session directory to it on construction.
+  /// Executes the sliced device batches: every slice crosses this transport
+  /// as a wire batch and its response is scattered back by ticket.
+  /// Required — `LocalTransport` is the in-process runner. The transport
+  /// must outlive the service; the service binds its session directory to it
+  /// on construction.
   ShardTransport* transport = nullptr;
   /// Transient-failure budget per wire batch: a failed batch is retried this
   /// many times on its runner, then the runner is marked down and the batch
@@ -171,20 +165,20 @@ struct DetectorServiceStats {
 /// order, before any detection runs.
 ///
 /// **Transport boundary.** The per-shard queues are the distribution seam:
-/// with `options.transport` set, every sliced device batch crosses a
-/// `ShardTransport` as a serialized wire request and its response is
-/// scattered back by wire sequence number — completions may arrive in any
-/// order, because results land in fixed ticket slots either way. Failed
-/// batches are retried `max_retries` times, then requeued onto a surviving
-/// shard's runner with `origin_shard` (and therefore the serving detector
-/// contexts and the charged seconds) unchanged; when every runner is down
-/// the service goes sticky-failed (`transport_status()`) and `CancelPending`
-/// releases whatever could not complete, so the driver can surface the error
-/// instead of hanging.
+/// every sliced device batch crosses the `ShardTransport` in
+/// `options.transport` as a wire request (serialized on every transport but
+/// `LocalTransport`) and its response is scattered back by wire sequence
+/// number — completions may arrive in any order, because results land in
+/// fixed ticket slots either way. Failed batches are retried `max_retries`
+/// times, then requeued onto a surviving shard's runner with `origin_shard`
+/// (and therefore the serving detector contexts and the charged seconds)
+/// unchanged; when every runner is down the service goes sticky-failed
+/// (`transport_status()`) and `CancelPending` releases whatever could not
+/// complete, so the driver can surface the error instead of hanging.
 ///
 /// One coordinator thread drives the service (Submit/Poll/Flush/Take); only
-/// the per-frame detect fan-out — and, over a transport, the shard runners —
-/// runs elsewhere.
+/// the transport's shard runners and their per-frame detect fan-out run
+/// elsewhere.
 class DetectorService {
  public:
   using Ticket = uint64_t;
@@ -217,8 +211,8 @@ class DetectorService {
     detect::DetectorOptions detector_options;
     /// The session's shard dispatcher: per-shard detectors + stats. When
     /// set, each frame is detected by `dispatcher->Context(shard).detector`
-    /// and the dispatcher's per-shard stats are updated as if it had
-    /// dispatched the sub-batches itself.
+    /// and the detected frames are booked into the dispatcher's per-shard
+    /// stats.
     ShardDispatcher* dispatcher = nullptr;
     /// The session's decode prefetcher; drained (in ticket order) before a
     /// flush detects anything of this request. Null when the session does
@@ -229,14 +223,9 @@ class DetectorService {
   };
 
   /// `num_shards` fixes the submission-queue fan-out (1 for unsharded
-  /// engines). `pools` — when non-empty, one per shard — name the worker
-  /// pool each shard's in-process device batches fan out over (null entries
-  /// run inline); `default_pool` serves shards without one. With
-  /// `options.transport`, execution happens runner-side and these pools are
-  /// not used.
-  DetectorService(DetectorServiceOptions options, size_t num_shards = 1,
-                  std::vector<common::ThreadPool*> pools = {},
-                  common::ThreadPool* default_pool = nullptr);
+  /// engines). `options.transport` must be set: it executes every device
+  /// batch, and its runners own the worker pools the batches fan out over.
+  explicit DetectorService(DetectorServiceOptions options, size_t num_shards = 1);
 
   /// \brief Enqueues a session's batch and returns its ticket. Non-blocking
   /// under the barrier policy; the latency-aware policy may execute shard
@@ -330,8 +319,8 @@ class DetectorService {
   };
   /// One extracted frame of a flush, its owning request resolved *once* on
   /// the coordinator (`pending_` nodes are pointer-stable for the flush's
-  /// duration) — the per-frame detect fan-out on the pool workers must not
-  /// pay a map lookup per frame.
+  /// duration) — building wire slots and scattering responses must not pay
+  /// a map lookup per frame.
   struct WorkItem {
     Ticket ticket = 0;
     size_t frame_index = 0;
@@ -343,24 +332,18 @@ class DetectorService {
   /// Extracts and executes work from the named shard queues: the full queue
   /// per shard, or only whole `device_batch` slices (`only_full_slices`,
   /// the fill trigger — a partial tail keeps waiting). Runs prefetcher
-  /// drains, execution (in-process or over the transport), slice
-  /// bookkeeping, and request completion.
+  /// drains, execution over the transport, slice bookkeeping, and request
+  /// completion.
   void FlushShards(const std::vector<uint32_t>& shards, bool only_full_slices,
                    FlushReason reason);
 
-  /// In-process execution of one shard's extracted entries (sliced into
-  /// device batches, fanned over the shard's pool). Safe to call for
-  /// different shards from different threads: writes go to per-request
-  /// result slots only.
-  void RunShardEntries(uint32_t shard, const std::vector<WorkItem>& entries);
-
-  /// Transport execution of all extracted entries: sends every slice as a
-  /// wire batch, receives completions in arrival order, retries/requeues
-  /// failures. Sets `transport_status_` (and cancels everything pending) on
-  /// permanent failure.
+  /// Executes all extracted entries: sends every slice as a wire batch,
+  /// receives completions in arrival order, retries/requeues failures. Sets
+  /// `transport_status_` (and cancels everything pending) on permanent
+  /// failure.
   void SendAndCollect(const std::vector<ShardWork>& work);
 
-  /// Deterministic per-slice bookkeeping shared by both execution paths.
+  /// Deterministic per-slice bookkeeping, after a shard's slices completed.
   void BookSlices(uint32_t shard, const std::vector<WorkItem>& entries);
 
   /// Picks the runner for `origin`'s batches: `origin` itself while its
@@ -369,8 +352,6 @@ class DetectorService {
   bool RouteShard(uint32_t origin, uint32_t* runner) const;
 
   DetectorServiceOptions options_;
-  std::vector<common::ThreadPool*> pools_;  // Per shard; may hold nulls.
-  common::ThreadPool* default_pool_ = nullptr;
 
   std::map<Ticket, PendingRequest> pending_;     // Ticket order.
   std::vector<std::vector<QueueEntry>> queues_;  // Per shard.

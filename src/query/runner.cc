@@ -59,6 +59,11 @@ QueryExecution::QueryExecution(const scene::GroundTruth* truth,
       options_(options) {
   common::Check(detector_ != nullptr || options_.shard_dispatcher != nullptr,
                 "query execution needs a detector or a shard dispatcher");
+  // Sharded detection runs only through the service: the dispatcher routes
+  // and tallies, the service's transport executes.
+  common::Check(options_.shard_dispatcher == nullptr ||
+                    options_.detector_service != nullptr,
+                "a shard dispatcher needs a detector service");
   // Every decode call site routes through the prefetcher. Depth 0 keeps the
   // synchronous schedule (plan + perform inline, in batch order); depth >= 1
   // overlaps the decode work with the detect stage. Either way the charges
@@ -106,14 +111,10 @@ void QueryExecution::RecordEvent(size_t part, double seconds, uint32_t samples,
 }
 
 std::vector<detect::Detections> QueryExecution::DetectStage(
-    const std::vector<video::FrameId>& frames, const std::vector<uint32_t>& shards) {
-  ShardDispatcher* dispatcher = options_.shard_dispatcher;
+    const std::vector<video::FrameId>& frames) {
   const auto detect_range = [&](size_t begin, size_t count) {
     const common::Span<video::FrameId> sub(frames.data() + begin, count);
-    return dispatcher != nullptr
-               ? dispatcher->DetectBatch(
-                     sub, common::Span<const uint32_t>(shards.data() + begin, count))
-               : detector_->DetectBatch(sub, options_.thread_pool);
+    return detector_->DetectBatch(sub, options_.thread_pool);
   };
 
   if (prefetcher_ == nullptr || prefetcher_->depth() == 0) {
@@ -131,16 +132,8 @@ std::vector<detect::Detections> QueryExecution::DetectStage(
   // results: detection is per-frame deterministic and result slots are
   // fixed, so this is the same output the single full-batch call produces.
   std::vector<detect::Detections> out(frames.size());
-  size_t parallelism = 1;
-  if (options_.thread_pool != nullptr) {
-    parallelism = options_.thread_pool->NumThreads();
-  }
-  if (dispatcher != nullptr) {
-    for (uint32_t s = 0; s < dispatcher->NumShards(); ++s) {
-      common::ThreadPool* pool = dispatcher->Context(s).pool;
-      if (pool != nullptr) parallelism = std::max(parallelism, pool->NumThreads());
-    }
-  }
+  const size_t parallelism =
+      options_.thread_pool != nullptr ? options_.thread_pool->NumThreads() : 1;
   const size_t window = std::max(prefetcher_->depth(), parallelism);
   for (size_t begin = 0; begin < frames.size(); begin += window) {
     const size_t count = std::min(window, frames.size() - begin);
@@ -300,14 +293,13 @@ void QueryExecution::FinishStep() {
   const bool reusing = options_.reuse != nullptr;
   const std::vector<video::FrameId>& detect_frames =
       reusing ? miss_frames_ : pending_frames_;
-  const std::vector<uint32_t>& detect_shards = reusing ? miss_shards_ : frame_shards_;
 
   // Detect stage over the batch's detect set (the misses, under reuse):
-  // per-frame-independent, fans out across the pool — or, when the
-  // repository is sharded, across the owning shards' detector contexts;
-  // under a shared service the work already ran in coalesced device batches
-  // and is collected here. Result i belongs to detect_frames[i] whatever the
-  // execution order. A fully-reused batch has nothing to collect.
+  // per-frame-independent, fans out across the pool; under a shared service
+  // (always, when sharded) the work already ran in coalesced device batches
+  // on the owning shards' detector contexts and is collected here. Result i
+  // belongs to detect_frames[i] whatever the execution order. A fully-reused
+  // batch has nothing to collect.
   std::vector<detect::Detections> miss_detections;
   {
     stats::StageTimer::Scoped detect_timer(options_.stats.timer,
@@ -316,7 +308,7 @@ void QueryExecution::FinishStep() {
       miss_detections = options_.detector_service->Take(pending_ticket_);
       pending_ticket_valid_ = false;
     } else if (options_.detector_service == nullptr && !detect_frames.empty()) {
-      miss_detections = DetectStage(detect_frames, detect_shards);
+      miss_detections = DetectStage(detect_frames);
     }
   }
   stats::SlabAdd(options_.stats.slab, options_.stats.frames_detected,

@@ -80,20 +80,22 @@ struct RunnerOptions {
   /// count affects wall-clock only, never the trace: simulated cost
   /// accounting stays per-frame and detection is per-frame deterministic.
   common::ThreadPool* thread_pool = nullptr;
-  /// When non-null, the repository is sharded: the decode and detect stages
-  /// route every picked frame to its owning shard's context (detector, store,
-  /// pool) instead of the query-global `detector`/`video_store`/`thread_pool`
-  /// above, and the execution records per-shard partial traces that `Finish`
-  /// merges into the returned global trace. Detect routing never changes a
-  /// trace (shard detectors are per-frame deterministic and discrimination
-  /// stays sequential in batch order) — the shard equivalence suite enforces
-  /// bit-identity against the unsharded run for the configurations
-  /// `SearchEngine` wires up (no stores, or one shared `video_store`). The
-  /// exception is *per-shard* stores (`ShardDispatcher::HasStores()`): each
-  /// shard then keeps its own decode position state, which by design prices
-  /// sequential-read locality per shard and so can change `seconds` relative
-  /// to a single global store. The query-global `detector` may be null when a
-  /// dispatcher is set.
+  /// When non-null, the repository is sharded: every picked frame is
+  /// attributed to its owning shard, decoded on that shard's store (when it
+  /// has one), and submitted to `detector_service` with its owner so the
+  /// service detects it with the shard's detector context; the execution
+  /// records per-shard partial traces that `Finish` merges into the returned
+  /// global trace. Requires `detector_service` — sharded detection has no
+  /// local path. Detect routing never changes a trace (shard detectors are
+  /// per-frame deterministic and discrimination stays sequential in batch
+  /// order) — the shard equivalence suite enforces bit-identity against the
+  /// unsharded run for the configurations `SearchEngine` wires up (no
+  /// stores, or one shared `video_store`). The exception is *per-shard*
+  /// stores (`ShardDispatcher::HasStores()`): each shard then keeps its own
+  /// decode position state, which by design prices sequential-read locality
+  /// per shard and so can change `seconds` relative to a single global
+  /// store. The query-global `detector` may be null when a dispatcher is
+  /// set.
   ShardDispatcher* shard_dispatcher = nullptr;
   /// Decode-ahead window of the pipelined decode stage (the pick → prefetch →
   /// detect → discriminate loop). Whenever a decode store is configured
@@ -114,13 +116,15 @@ struct RunnerOptions {
   /// instead of being executed by this session: `BeginStep` enqueues the
   /// picked batch (non-blocking) and `FinishStep` collects the detections
   /// after a `Flush` has coalesced every pending session's frames into full
-  /// device batches. Like batch size and thread count, coalescing never
-  /// changes a trace — detection stays per-frame deterministic per session
-  /// and every order-sensitive stage stays on the coordinator in batch order
-  /// (the `sched` suite enforces bit-identity against solo runs). `Step()`
-  /// still works standalone: it submits, flushes, and finishes inline
-  /// (coalesce width 1 — note the flush also executes whatever *other*
-  /// sessions have pending, which is harmless for exactly this reason).
+  /// device batches. Required with `shard_dispatcher`; null runs the local
+  /// detect stage on `detector`. Like batch size and thread count,
+  /// coalescing never changes a trace — detection stays per-frame
+  /// deterministic per session and every order-sensitive stage stays on the
+  /// coordinator in batch order (the `sched` suite enforces bit-identity
+  /// against solo runs). `Step()` still works standalone: it submits,
+  /// flushes, and finishes inline (coalesce width 1 — note the flush also
+  /// executes whatever *other* sessions have pending, which is harmless for
+  /// exactly this reason).
   DetectorService* detector_service = nullptr;
   /// Stable identity of this execution's session for the service's
   /// stats attribution (which device batches were shared across sessions).
@@ -175,7 +179,8 @@ class QueryExecution {
  public:
   /// All pointees must outlive the execution. `detector` may be null only
   /// when `options.shard_dispatcher` is set (detection is then routed to the
-  /// owning shards' detectors).
+  /// owning shards' detectors); a dispatcher without
+  /// `options.detector_service` is a fatal error.
   QueryExecution(const scene::GroundTruth* truth, detect::ObjectDetector* detector,
                  track::Discriminator* discriminator, SearchStrategy* strategy,
                  RunnerOptions options);
@@ -249,11 +254,11 @@ class QueryExecution {
   bool StopConditionHit() const;
   void RecordEvent(size_t part, double seconds, uint32_t samples, uint32_t reported,
                    uint32_t distinct, bool emit_point);
-  /// Detect stage over `frames` (owners in `shards` when sharded): waits for
-  /// prefetched windows and overlaps their detection with the decode of
-  /// later windows. Under reuse, `frames` is the batch's miss subset.
-  std::vector<detect::Detections> DetectStage(const std::vector<video::FrameId>& frames,
-                                              const std::vector<uint32_t>& shards);
+  /// Local detect stage over `frames` (unsharded executions without a
+  /// service): waits for prefetched windows and overlaps their detection
+  /// with the decode of later windows. Under reuse, `frames` is the batch's
+  /// miss subset.
+  std::vector<detect::Detections> DetectStage(const std::vector<video::FrameId>& frames);
 
   const scene::GroundTruth* truth_;
   detect::ObjectDetector* detector_;

@@ -1,14 +1,11 @@
 #include "query/shard_dispatch.h"
 
-#include <thread>
-
 namespace exsample {
 namespace query {
 
 ShardDispatcher::ShardDispatcher(const video::ShardedRepository* repo,
-                                 std::vector<ShardContext> contexts,
-                                 bool parallel_shards)
-    : repo_(repo), contexts_(std::move(contexts)), parallel_shards_(parallel_shards) {
+                                 std::vector<ShardContext> contexts)
+    : repo_(repo), contexts_(std::move(contexts)) {
   common::Check(repo_ != nullptr, "ShardDispatcher needs a sharded repository");
   common::Check(contexts_.size() == repo_->NumShards(),
                 "ShardDispatcher needs one context per shard");
@@ -20,65 +17,12 @@ ShardDispatcher::ShardDispatcher(const video::ShardedRepository* repo,
     if (contexts_[s].store == nullptr) has_stores_ = false;
   }
   stats_.resize(contexts_.size());
-  shard_slots_.resize(contexts_.size());
-  shard_frames_.resize(contexts_.size());
 }
 
 uint32_t ShardDispatcher::ShardOfFrame(video::FrameId frame) const {
   auto shard = repo_->ShardOfFrame(frame);
   common::CheckOk(shard.status(), "picked frame outside the sharded repository");
   return shard.value();
-}
-
-std::vector<detect::Detections> ShardDispatcher::DetectBatch(
-    common::Span<video::FrameId> frames, common::Span<const uint32_t> shards) {
-  common::Check(shards.empty() || shards.size() == frames.size(),
-                "precomputed shard owners must cover the whole batch");
-  std::vector<detect::Detections> out(frames.size());
-
-  // Partition the batch by owning shard, preserving batch order within each
-  // shard so a shard's detector sees its frames in the order the coordinator
-  // picked them.
-  for (auto& slots : shard_slots_) slots.clear();
-  for (auto& sub : shard_frames_) sub.clear();
-  for (size_t i = 0; i < frames.size(); ++i) {
-    const uint32_t s = shards.empty() ? ShardOfFrame(frames[i]) : shards[i];
-    shard_slots_[s].push_back(i);
-    shard_frames_[s].push_back(frames[i]);
-  }
-
-  // Run each owning shard's sub-batch through its own detector context and
-  // scatter results back into batch slots.
-  auto run_shard = [&](uint32_t s) {
-    std::vector<detect::Detections> dets =
-        contexts_[s].detector->DetectBatch(shard_frames_[s], contexts_[s].pool);
-    for (size_t j = 0; j < shard_slots_[s].size(); ++j) {
-      out[shard_slots_[s][j]] = std::move(dets[j]);
-    }
-  };
-
-  std::vector<uint32_t> active;
-  for (uint32_t s = 0; s < contexts_.size(); ++s) {
-    if (!shard_frames_[s].empty()) active.push_back(s);
-  }
-  if (parallel_shards_ && active.size() > 1) {
-    // One dispatch thread per owning shard, each driving that shard's own
-    // pool — the in-process stand-in for shards living on separate machines.
-    std::vector<std::thread> threads;
-    threads.reserve(active.size());
-    for (const uint32_t s : active) threads.emplace_back([&, s] { run_shard(s); });
-    for (std::thread& t : threads) t.join();
-  } else {
-    for (const uint32_t s : active) run_shard(s);
-  }
-
-  for (const uint32_t s : active) {
-    stats_[s].frames_detected += shard_frames_[s].size();
-    stats_[s].batches += 1;
-    stats_[s].detect_seconds += static_cast<double>(shard_frames_[s].size()) *
-                                contexts_[s].detector->SecondsPerFrame();
-  }
-  return out;
 }
 
 void ShardDispatcher::RecordServiceDetect(uint32_t shard, size_t frames) {
@@ -105,12 +49,6 @@ video::ReadPlan ShardDispatcher::PlanDecode(video::FrameId frame, uint32_t shard
   stats_[shard].frames_decoded += 1;
   stats_[shard].decode_seconds += plan.value().seconds;
   return plan.value();
-}
-
-double ShardDispatcher::ChargeDecode(video::FrameId frame, uint32_t shard) {
-  const video::ReadPlan plan = PlanDecode(frame, shard);
-  contexts_[shard].store->PerformRead(plan);
-  return plan.seconds;
 }
 
 }  // namespace query

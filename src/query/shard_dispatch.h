@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/span.h"
 #include "common/thread_pool.h"
 #include "detect/detector.h"
 #include "video/decode.h"
@@ -14,7 +13,7 @@ namespace exsample {
 namespace query {
 
 /// \brief One shard's execution resources: the detector that serves its
-/// frames, an optional decode store, and an optional private worker pool.
+/// frames, an optional decode store, and an optional private I/O pool.
 ///
 /// In a real deployment this is "one machine's worth" of a query: the shard's
 /// video lives next to its decoder and detector, and only frame ids and
@@ -31,10 +30,6 @@ struct ShardContext {
   /// position state (each shard decodes independently), so sequential-read
   /// locality is per shard. Must be built over the *global* repository view.
   video::SimulatedVideoStore* store = nullptr;
-  /// Optional private pool the shard's detect stage fans out over ("one GPU's
-  /// worth of workers"). Null runs the shard's sub-batch on the dispatching
-  /// thread.
-  common::ThreadPool* pool = nullptr;
   /// Optional private I/O pool the shard's *decode prefetch* work runs on
   /// (the disk+decoder next to the shard's video, kept separate from the
   /// detect pool so decode and inference overlap instead of contending).
@@ -51,28 +46,23 @@ struct ShardStats {
   double decode_seconds = 0.0;  ///< Simulated decode seconds charged.
 };
 
-/// \brief Routes a picked batch to the shards that own its frames.
+/// \brief One session's view of a sharded repository: which shard owns each
+/// picked frame, the per-shard contexts that serve it, and per-shard tallies.
 ///
-/// The batch pipeline's detect stage hands the whole batch to the dispatcher;
-/// the dispatcher partitions it by owning shard (stable, preserving batch
-/// order within each shard), runs every shard's sub-batch through that
-/// shard's detector context, and scatters results back so result `i`
-/// corresponds to `frames[i]` — the same contract as
-/// `ObjectDetector::DetectBatch`, so shard count can never reorder what the
-/// discriminator observes.
-///
-/// With `parallel_shards`, sub-batches of different shards run concurrently
-/// (one dispatch thread per shard, each driving its own shard's pool), which
-/// is what the shard-scaling bench measures. Results land in fixed slots and
-/// detectors are per-frame deterministic, so parallel dispatch — like thread
-/// count everywhere else in the pipeline — changes wall-clock only, never the
-/// trace.
+/// The dispatcher executes no detection itself. A sharded session submits
+/// its batch to the shared `DetectorService` with each frame's owner
+/// (`ShardOfFrame`); the service queues frames per shard, runs them through
+/// `Context(shard).detector` on the shard's transport runner, and books them
+/// back here (`RecordServiceDetect`). Decode is routed per shard through
+/// `PlanDecode` when every shard has a store. Results land in fixed batch
+/// slots and detectors are per-frame deterministic, so shard routing never
+/// reorders what the discriminator observes.
 class ShardDispatcher {
  public:
   /// `repo` and every context member must outlive the dispatcher. `contexts`
   /// must have one entry per shard; non-empty shards require a detector.
   ShardDispatcher(const video::ShardedRepository* repo,
-                  std::vector<ShardContext> contexts, bool parallel_shards = false);
+                  std::vector<ShardContext> contexts);
 
   size_t NumShards() const { return contexts_.size(); }
   const video::ShardedRepository& repo() const { return *repo_; }
@@ -81,37 +71,21 @@ class ShardDispatcher {
   /// fatal error (the strategy layer never emits them).
   uint32_t ShardOfFrame(video::FrameId frame) const;
 
-  /// \brief Detects a whole batch across the owning shards; result `i`
-  /// corresponds to `frames[i]`. `shards`, when non-empty, must be the
-  /// precomputed owner of each frame (`ShardOfFrame`), saving the per-frame
-  /// lookup; empty resolves owners internally.
-  std::vector<detect::Detections> DetectBatch(common::Span<video::FrameId> frames,
-                                              common::Span<const uint32_t> shards = {});
-
   /// \brief Simulated per-frame detector cost of one shard.
   double SecondsPerFrame(uint32_t shard) const;
 
   /// \brief Books `frames` of this session detected on `shard` by the shared
-  /// `DetectorService` (which routes frames through the contexts directly,
-  /// bypassing `DetectBatch`) into `Stats()`, counted as one batch — exactly
-  /// what a `DetectBatch` call over the same sub-batch would have recorded,
-  /// so per-shard observability reads the same with and without coalescing.
+  /// `DetectorService` into `Stats()`, counted as one batch.
   void RecordServiceDetect(uint32_t shard, size_t frames);
 
   /// \brief True when every non-empty shard has a decode store (decode is
   /// then routed per shard instead of through the query-global store).
   bool HasStores() const { return has_stores_; }
 
-  /// \brief Charges the decode of `frame` to `shard`'s store (which must be
-  /// the frame's owner, as `ShardOfFrame` reports) and returns the seconds
-  /// charged. Requires `HasStores()`. Synchronous: plans *and* performs the
-  /// read (`PlanDecode` + `PerformRead` on the shard's store).
-  double ChargeDecode(video::FrameId frame, uint32_t shard);
-
-  /// \brief Accounting half of `ChargeDecode`: plans the read on `shard`'s
-  /// store (advancing that shard's sequential position) and books the charge
-  /// into `Stats()`, without performing the decode work. The prefetcher calls
-  /// this in batch order — charges are bit-identical to `ChargeDecode` — and
+  /// \brief Plans the decode of `frame` on `shard`'s store (which must be
+  /// the frame's owner, as `ShardOfFrame` reports; advancing that shard's
+  /// sequential position) and books the charge into `Stats()`, without
+  /// performing the decode work. The prefetcher calls this in batch order and
   /// later performs the plan on the shard's I/O pool. Requires `HasStores()`.
   video::ReadPlan PlanDecode(video::FrameId frame, uint32_t shard);
 
@@ -122,12 +96,7 @@ class ShardDispatcher {
   const video::ShardedRepository* repo_;
   std::vector<ShardContext> contexts_;
   std::vector<ShardStats> stats_;
-  bool parallel_shards_ = false;
   bool has_stores_ = false;
-
-  // Per-batch scratch, reused to keep the steady state allocation-free.
-  std::vector<std::vector<size_t>> shard_slots_;  // Batch positions per shard.
-  std::vector<std::vector<video::FrameId>> shard_frames_;
 };
 
 }  // namespace query

@@ -206,9 +206,10 @@ DetectResponseMsg ExecuteWireRequest(
 
 /// \brief The in-process transport: `Send` executes the batch synchronously
 /// on the caller (fanning over the shard's pool) and queues the response for
-/// `Receive`, with no serialization — today's execution path behind the
-/// transport interface, bit-compatible with the service's built-in local
-/// execution by construction (same detectors, same slicing, same slots).
+/// `Receive`, with no serialization. The engine's default runner
+/// (`TransportKind::kLocal`): shards execute one at a time on the
+/// coordinator; `LoopbackTransport` is the in-process way to run them
+/// concurrently.
 class LocalTransport : public ShardTransport {
  public:
   /// `pools` — when non-empty, one per shard — name the worker pool each

@@ -229,58 +229,6 @@ TEST(DecodePrefetcherTest, SubmitDrainsThePreviousBatch) {
   EXPECT_TRUE(prefetcher.Cached(100));
 }
 
-// ChargeDecode (the synchronous shard-decode wrapper custom runners can
-// still call) is PlanDecode + PerformRead: identical charges, stats, and
-// per-shard position state, frame for frame.
-TEST(DecodePrefetcherTest, ShardChargeDecodeMatchesPlanDecode) {
-  const video::VideoRepository repo = video::VideoRepository::UniformClips(4, 500);
-  auto sharded = video::ShardedRepository::ShardByClips(repo, 2);
-  ASSERT_TRUE(sharded.ok());
-
-  scene::SceneSpec spec;
-  spec.total_frames = repo.TotalFrames();
-  common::Rng rng(3);
-  auto truth = scene::GenerateScene(spec, nullptr, rng).value();
-
-  auto make_dispatcher = [&](std::vector<std::unique_ptr<detect::SimulatedDetector>>*
-                                 detectors,
-                             std::vector<std::unique_ptr<video::SimulatedVideoStore>>*
-                                 stores) {
-    std::vector<query::ShardContext> contexts(2);
-    for (uint32_t s = 0; s < 2; ++s) {
-      detectors->push_back(std::make_unique<detect::SimulatedDetector>(
-          &truth, detect::DetectorOptions::Perfect(0)));
-      stores->push_back(std::make_unique<video::SimulatedVideoStore>(
-          &sharded.value().Global(), video::DecodeCostModel{}));
-      contexts[s].detector = detectors->back().get();
-      contexts[s].store = stores->back().get();
-    }
-    return std::make_unique<query::ShardDispatcher>(&sharded.value(),
-                                                    std::move(contexts));
-  };
-
-  std::vector<std::unique_ptr<detect::SimulatedDetector>> det_a, det_b;
-  std::vector<std::unique_ptr<video::SimulatedVideoStore>> stores_a, stores_b;
-  auto charged = make_dispatcher(&det_a, &stores_a);
-  auto planned = make_dispatcher(&det_b, &stores_b);
-
-  const video::FrameId frames[] = {0, 1, 700, 701, 2, 1300, 1301, 702};
-  for (const video::FrameId frame : frames) {
-    const uint32_t shard = charged->ShardOfFrame(frame);
-    const double seconds = charged->ChargeDecode(frame, shard);
-    const video::ReadPlan plan = planned->PlanDecode(frame, shard);
-    EXPECT_EQ(seconds, plan.seconds) << "frame " << frame;
-    stores_b[shard]->PerformRead(plan);
-  }
-  for (uint32_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(stores_a[s]->Stats().total_seconds, stores_b[s]->Stats().total_seconds);
-    EXPECT_EQ(stores_a[s]->Stats().sequential_reads,
-              stores_b[s]->Stats().sequential_reads);
-    EXPECT_EQ(charged->Stats()[s].decode_seconds, planned->Stats()[s].decode_seconds);
-    EXPECT_EQ(charged->Stats()[s].frames_decoded, planned->Stats()[s].frames_decoded);
-  }
-}
-
 // (c) For every method, prefetching decode (any depth, any pool layout)
 // produces the synchronous path's trace bit for bit.
 TEST(DecodePrefetchEquivalenceTest, AllMethodsBitIdenticalAcrossDepthsAndPools) {

@@ -379,6 +379,8 @@ TEST(FlushPolicyTest, FillTriggerShipsFullWireBatches) {
   query::DetectorServiceOptions options;
   options.device_batch = 4;
   options.flush_policy = query::FlushPolicy::kLatencyAware;
+  query::LocalTransport transport(1);
+  options.transport = &transport;
   query::DetectorService service(options, 1);
 
   // A full wire batch ships at submit, without any barrier flush.
@@ -405,6 +407,8 @@ TEST(FlushPolicyTest, FillTriggerLeavesThePartialTailQueued) {
   query::DetectorServiceOptions options;
   options.device_batch = 4;
   options.flush_policy = query::FlushPolicy::kLatencyAware;
+  query::LocalTransport transport(1);
+  options.transport = &transport;
   query::DetectorService service(options, 1);
 
   // Six frames: one full slice ships, two frames stay queued — the ticket
@@ -425,6 +429,8 @@ TEST(FlushPolicyTest, DeadlineTriggerShipsStaleQueues) {
   options.device_batch = 64;  // Never fills.
   options.flush_policy = query::FlushPolicy::kLatencyAware;
   options.flush_deadline_seconds = 0.0002;
+  query::LocalTransport transport(1);
+  options.transport = &transport;
   query::DetectorService service(options, 1);
 
   const std::vector<video::FrameId> frames = {7, 8};
@@ -442,6 +448,8 @@ TEST(FlushPolicyTest, BarrierPolicyNeverSelfFlushes) {
   ServiceFixture fixture;
   query::DetectorServiceOptions options;
   options.device_batch = 2;  // Submits exceed a wire batch immediately.
+  query::LocalTransport transport(1);
+  options.transport = &transport;
   query::DetectorService service(options, 1);
 
   const std::vector<video::FrameId> frames = {1, 2, 3, 4, 5};
@@ -459,38 +467,21 @@ TEST(FlushPolicyTest, BarrierPolicyNeverSelfFlushes) {
 
 // --- Transports at the service level ----------------------------------------
 
-TEST(DistTransportTest, LocalTransportMatchesInProcessExecution) {
+TEST(DistTransportTest, LocalTransportMatchesDirectDetections) {
   ServiceFixture fixture;
   const std::vector<video::FrameId> frames = {100, 200, 300, 400, 500};
 
-  query::DetectorServiceOptions inline_options;
-  inline_options.device_batch = 2;
-  query::DetectorService inline_service(inline_options, 1);
-  const auto inline_ticket = inline_service.Submit(fixture.Request(frames));
-  inline_service.Flush();
-  const auto inline_results = inline_service.Take(inline_ticket);
-
   query::LocalTransport transport(1);
-  query::DetectorServiceOptions wire_options;
-  wire_options.device_batch = 2;
-  wire_options.transport = &transport;
-  query::DetectorService wire_service(wire_options, 1);
-  const auto wire_ticket = wire_service.Submit(fixture.Request(frames));
-  wire_service.Flush();
-  const auto wire_results = wire_service.Take(wire_ticket);
-
-  ASSERT_EQ(inline_results.size(), wire_results.size());
-  for (size_t i = 0; i < inline_results.size(); ++i) {
-    ASSERT_EQ(inline_results[i].size(), wire_results[i].size());
-    for (size_t j = 0; j < inline_results[i].size(); ++j) {
-      EXPECT_EQ(inline_results[i][j].box, wire_results[i][j].box);
-      EXPECT_EQ(inline_results[i][j].source_instance,
-                wire_results[i][j].source_instance);
-    }
-  }
+  query::DetectorServiceOptions options;
+  options.device_batch = 2;
+  options.transport = &transport;
+  query::DetectorService service(options, 1);
+  const auto ticket = service.Submit(fixture.Request(frames));
+  service.Flush();
+  ASSERT_TRUE(service.Ready(ticket));
+  fixture.ExpectDirectDetections(frames, service.Take(ticket));
   EXPECT_EQ(transport.Stats().requests, 3u);  // ceil(5 / 2) slices.
   EXPECT_EQ(transport.Stats().bytes_sent, 0u);  // Local never serializes.
-  fixture.ExpectDirectDetections(frames, wire_results);
 }
 
 TEST(DistTransportTest, LoopbackServiceRoundTripsOverBytes) {

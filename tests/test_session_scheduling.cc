@@ -349,6 +349,8 @@ TEST(DetectorServiceTest, SlicesQueueAndRoutesResultsPerRequest) {
 
   query::DetectorServiceOptions options;
   options.device_batch = 4;
+  query::LocalTransport transport(1);
+  options.transport = &transport;
   query::DetectorService service(options);
 
   const std::vector<video::FrameId> frames_a = {10, 2000, 30000};

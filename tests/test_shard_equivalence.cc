@@ -178,6 +178,16 @@ TEST(ShardEquivalenceTest, EngineInternalShardingMatchesExplicit) {
   ASSERT_TRUE(base.ok() && a.ok() && b.ok());
   ExpectTracesIdentical(base.value(), a.value(), "internal sharding");
   ExpectTracesIdentical(a.value(), b.value(), "internal vs explicit");
+
+  // Sharded engines detect only through the service, even without
+  // coalesce_detect: every sample of a solo session crossed it.
+  ASSERT_FALSE(internal.config().coalesce_detect);
+  EXPECT_NE(internal.detector_service(), nullptr);
+  auto session = internal.CreateSession(0, 30, options);
+  ASSERT_TRUE(session.ok());
+  const query::QueryTrace trace = session.value()->Finish();
+  ExpectTracesIdentical(a.value(), trace, "internal sharding, stepped session");
+  EXPECT_EQ(session.value()->scheduler_stats().frames_submitted, trace.final.samples);
 }
 
 // (c) The merged trace is genuinely assembled from per-shard partial traces:
@@ -247,6 +257,25 @@ TEST(ShardEquivalenceTest, ProxyUpfrontCostBelongsToCoordinator) {
   EXPECT_EQ(trace.points[0].seconds, parts[0].events[0].seconds);
 }
 
+// Sharded detection has no local path: an execution handed a dispatcher but
+// no detector service refuses to start.
+TEST(ShardEquivalenceDeathTest, DispatcherWithoutServiceIsFatal) {
+  auto fx = ShardFixture::Make();
+  auto sharded_repo = video::ShardedRepository::ShardByClips(fx->repo, 2);
+  ASSERT_TRUE(sharded_repo.ok());
+  detect::SimulatedDetector detector(&fx->truth, detect::DetectorOptions::Perfect(0));
+  std::vector<query::ShardContext> contexts(sharded_repo.value().NumShards());
+  for (query::ShardContext& context : contexts) context.detector = &detector;
+  query::ShardDispatcher dispatcher(&sharded_repo.value(), std::move(contexts));
+  samplers::UniformRandomStrategy strategy(&fx->repo, /*seed=*/5);
+  track::IouTrackerDiscriminator discriminator(&fx->truth, {});
+  query::RunnerOptions options;
+  options.shard_dispatcher = &dispatcher;
+  EXPECT_DEATH(query::QueryExecution(&fx->truth, nullptr, &discriminator, &strategy,
+                                     options),
+               "shard dispatcher needs a detector service");
+}
+
 // MergeShardTraces rejects malformed event streams instead of guessing.
 TEST(ShardEquivalenceTest, MergeRejectsDuplicateSequenceNumbers) {
   query::ShardTracePart a;
@@ -303,11 +332,16 @@ TEST(ShardEquivalenceTest, DecodeAccountingUnderShardRouting) {
       contexts[s].detector = detectors.back().get();
     }
     query::ShardDispatcher dispatcher(&sharded_repo.value(), std::move(contexts));
+    query::LocalTransport transport(dispatcher.NumShards());
+    query::DetectorServiceOptions service_options;
+    service_options.transport = &transport;
+    query::DetectorService service(service_options, dispatcher.NumShards());
     track::IouTrackerDiscriminator discriminator(&fx->truth, {});
     video::SimulatedVideoStore store(&fx->repo, {});
     query::RunnerOptions options = base_options;
     options.video_store = &store;
     options.shard_dispatcher = &dispatcher;
+    options.detector_service = &service;
     query::QueryExecution execution(&fx->truth, /*detector=*/nullptr, &discriminator,
                                     &strategy, options);
     const query::QueryTrace trace = execution.Finish();
@@ -331,9 +365,14 @@ TEST(ShardEquivalenceTest, DecodeAccountingUnderShardRouting) {
     }
     query::ShardDispatcher dispatcher(&sharded_repo.value(), std::move(contexts));
     ASSERT_TRUE(dispatcher.HasStores());
+    query::LocalTransport transport(dispatcher.NumShards());
+    query::DetectorServiceOptions service_options;
+    service_options.transport = &transport;
+    query::DetectorService service(service_options, dispatcher.NumShards());
     track::IouTrackerDiscriminator discriminator(&fx->truth, {});
     query::RunnerOptions options = base_options;
     options.shard_dispatcher = &dispatcher;
+    options.detector_service = &service;
     query::QueryExecution execution(&fx->truth, nullptr, &discriminator, &strategy,
                                     options);
     const query::QueryTrace trace = execution.Finish();

@@ -308,6 +308,8 @@ TEST(RunningStatMergeTest, MergeSingleObservationSides) {
 TEST(DetectorServiceStatsTest, FillRateIsZeroBeforeAnyBatch) {
   query::DetectorServiceOptions options;
   options.device_batch = 32;
+  query::LocalTransport transport(1);
+  options.transport = &transport;
   query::DetectorService service(options);
   // Regression: with zero device batches this divided 0/0 → NaN.
   EXPECT_EQ(service.FillRate(), 0.0);
