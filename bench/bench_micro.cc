@@ -40,13 +40,17 @@ void BM_GammaQuantile(benchmark::State& state) {
 }
 BENCHMARK(BM_GammaQuantile);
 
+// Args: chunk count, then the hit rate (percent) of the 10 samples each chunk
+// is seeded with. The 1600-chunk, 0% case is BDD MOT early in a query: every
+// chunk at N1 = 0, so every draw takes the shape-0.1 boost path.
 void BM_ThompsonPick(benchmark::State& state) {
   const size_t chunks = static_cast<size_t>(state.range(0));
+  const double hit_rate = static_cast<double>(state.range(1)) / 100.0;
   core::ChunkStatsTable stats(chunks);
   common::Rng rng(3);
   for (size_t j = 0; j < chunks; ++j) {
     for (int i = 0; i < 10; ++i) {
-      stats.Update(j, rng.Bernoulli(0.1) ? 1 : 0, 0);
+      stats.Update(j, rng.Bernoulli(hit_rate) ? 1 : 0, 0);
     }
   }
   core::ThompsonPolicy policy;
@@ -56,7 +60,12 @@ void BM_ThompsonPick(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * chunks);
 }
-BENCHMARK(BM_ThompsonPick)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_ThompsonPick)
+    ->ArgNames({"chunks", "hit_pct"})
+    ->Args({16, 10})
+    ->Args({128, 10})
+    ->Args({1024, 10})
+    ->Args({1600, 0});
 
 void BM_BayesUcbPick(benchmark::State& state) {
   const size_t chunks = static_cast<size_t>(state.range(0));

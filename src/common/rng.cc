@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace exsample {
 namespace common {
@@ -16,8 +15,6 @@ inline uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // Counts of Bernoulli trials beyond this are indistinguishable from "never"
 // for any dataset the library handles (frame counts are < 2^40).
 constexpr uint64_t kGeometricSaturation = uint64_t{1} << 62;
@@ -30,22 +27,6 @@ Rng::Rng(uint64_t seed) {
   // xoshiro's all-zero state is absorbing; SplitMix64 cannot produce four
   // zero words from any seed, but guard anyway.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
@@ -78,23 +59,6 @@ bool Rng::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-double Rng::Normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_normal_ = v * factor;
-  has_cached_normal_ = true;
-  return u * factor;
-}
-
 double Rng::Normal(double mean, double stddev) { return mean + stddev * Normal(); }
 
 double Rng::Exponential(double rate) {
@@ -118,36 +82,6 @@ uint64_t Rng::GeometricTrials(double p) {
     return kGeometricSaturation;
   }
   return static_cast<uint64_t>(trials);
-}
-
-double Rng::Gamma(double shape, double rate) {
-  assert(shape > 0.0 && rate > 0.0);
-  if (shape < 1.0) {
-    // Boost: if X ~ Gamma(shape+1) and U ~ Uniform(0,1), then
-    // X * U^{1/shape} ~ Gamma(shape).
-    double u;
-    do {
-      u = NextDouble();
-    } while (u == 0.0);
-    return Gamma(shape + 1.0, rate) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia–Tsang (2000).
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x, v;
-    do {
-      x = Normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = NextDouble();
-    const double x2 = x * x;
-    if (u < 1.0 - 0.0331 * x2 * x2) return d * v / rate;
-    if (u > 0.0 && std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) {
-      return d * v / rate;
-    }
-  }
 }
 
 double Rng::LogNormal(double mu_log, double sigma_log) {

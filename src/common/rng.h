@@ -1,8 +1,11 @@
 #ifndef EXSAMPLE_COMMON_RNG_H_
 #define EXSAMPLE_COMMON_RNG_H_
 
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -23,10 +26,20 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// \brief Next raw 64-bit output.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// \brief Uniform double in [0, 1) with 53 bits of randomness.
-  double NextDouble();
+  double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
   /// \brief Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -43,7 +56,22 @@ class Rng {
   bool Bernoulli(double p);
 
   /// \brief Standard normal variate (Marsaglia polar method).
-  double Normal();
+  double Normal() {
+    if (has_cached_normal_) {
+      has_cached_normal_ = false;
+      return cached_normal_;
+    }
+    double u, v, s;
+    do {
+      u = 2.0 * NextDouble() - 1.0;
+      v = 2.0 * NextDouble() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    cached_normal_ = v * factor;
+    has_cached_normal_ = true;
+    return u * factor;
+  }
 
   /// \brief Normal variate with the given mean and standard deviation.
   double Normal(double mean, double stddev);
@@ -62,6 +90,7 @@ class Rng {
   ///
   /// Marsaglia–Tsang squeeze method; shapes below 1 use the standard
   /// `U^{1/shape}` boosting transformation. Both parameters must be > 0.
+  /// Equivalent to `GammaSampler(shape).Draw(*this, rate)`.
   double Gamma(double shape, double rate);
 
   /// \brief Log-normal variate: exp(Normal(mu_log, sigma_log)).
@@ -89,10 +118,90 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// \brief Gamma variates of one fixed shape, with the shape's
+/// Marsaglia–Tsang constants computed once.
+///
+/// A Thompson pick draws from every chunk's Gamma belief, and most chunks
+/// share a handful of shapes (N1 + alpha0 with small N1), so a caller that
+/// keeps samplers by shape pays for `d`, `c` and `1/shape` only when a shape
+/// first appears. Draws consume exactly the random numbers `Rng::Gamma` does
+/// and return the same bits; `Rng::Gamma` is this sampler built on the
+/// spot.
+class GammaSampler {
+ public:
+  /// A sampler of no shape: `shape()` is NaN, so it compares unequal to every
+  /// shape a caller refreshes against. Not drawable.
+  GammaSampler() = default;
+
+  /// `shape` must be > 0.
+  explicit GammaSampler(double shape)
+      : shape_(shape), boost_(shape < 1.0), inv_shape_(1.0 / shape) {
+    assert(shape > 0.0);
+    d_ = (boost_ ? shape + 1.0 : shape) - 1.0 / 3.0;
+    c_ = 1.0 / std::sqrt(9.0 * d_);
+  }
+
+  /// \brief The shape the constants were computed for.
+  double shape() const { return shape_; }
+
+  /// \brief One Gamma(shape, rate) variate if it is >= `floor`; otherwise
+  /// some value below `floor`. `rate` must be > 0.
+  ///
+  /// The floor is for argmax scans: a draw below the running best can
+  /// neither win nor tie, so its exact value is never needed. When the
+  /// pre-boost variate is already below `floor`, the boost factor
+  /// U^{1/shape} <= 1 can only lower it further, so the `pow` is skipped.
+  /// The random numbers consumed are the same either way.
+  double Draw(Rng& rng, double rate,
+              double floor = -std::numeric_limits<double>::infinity()) const {
+    assert(rate > 0.0);
+    // Boost: if X ~ Gamma(shape + 1) and U ~ Uniform(0, 1), then
+    // X * U^{1/shape} ~ Gamma(shape). U comes first in the stream.
+    double u0 = 0.0;
+    if (boost_) {
+      do {
+        u0 = rng.NextDouble();
+      } while (u0 == 0.0);
+    }
+    // Marsaglia–Tsang (2000).
+    double x;
+    for (;;) {
+      double z, v;
+      do {
+        z = rng.Normal();
+        v = 1.0 + c_ * z;
+      } while (v <= 0.0);
+      v = v * v * v;
+      const double u = rng.NextDouble();
+      const double z2 = z * z;
+      if (u < 1.0 - 0.0331 * z2 * z2 ||
+          (u > 0.0 && std::log(u) < 0.5 * z2 + d_ * (1.0 - v + std::log(v)))) {
+        x = d_ * v / rate;
+        break;
+      }
+    }
+    if (!boost_ || x < floor) return x;
+    return x * std::pow(u0, inv_shape_);
+  }
+
+ private:
+  double shape_ = std::numeric_limits<double>::quiet_NaN();
+  bool boost_ = false;
+  double inv_shape_ = 0.0;
+  double d_ = 0.0;
+  double c_ = 0.0;
+};
+
+inline double Rng::Gamma(double shape, double rate) {
+  return GammaSampler(shape).Draw(*this, rate);
+}
 
 }  // namespace common
 }  // namespace exsample

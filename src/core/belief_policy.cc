@@ -1,6 +1,5 @@
 #include "core/belief_policy.h"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -12,7 +11,9 @@ namespace core {
 namespace {
 
 // Shared scan: returns the eligible index with the highest score; random
-// tie-breaking via reservoir sampling over exact ties.
+// tie-breaking via reservoir sampling over exact ties. `score(j, best)` gets
+// the running best so a scorer may skip work for a score that cannot reach
+// it; such a score must come back strictly below `best`.
 template <typename ScoreFn>
 size_t ArgmaxEligible(size_t num_chunks, const std::vector<bool>& eligible,
                       common::Rng& rng, ScoreFn&& score) {
@@ -21,7 +22,7 @@ size_t ArgmaxEligible(size_t num_chunks, const std::vector<bool>& eligible,
   uint64_t ties = 0;
   for (size_t j = 0; j < num_chunks; ++j) {
     if (!eligible[j]) continue;
-    const double s = score(j);
+    const double s = score(j, best);
     if (s > best) {
       best = s;
       best_idx = j;
@@ -32,7 +33,7 @@ size_t ArgmaxEligible(size_t num_chunks, const std::vector<bool>& eligible,
       if (rng.NextBounded(ties) == 0) best_idx = j;
     }
   }
-  assert(best_idx < num_chunks && "PickChunk requires at least one eligible chunk");
+  common::Check(best_idx < num_chunks, "PickChunk requires at least one eligible chunk");
   return best_idx;
 }
 
@@ -46,8 +47,13 @@ void BeliefChunkPolicy::CheckPriors(const ChunkStatsTable& stats) const {
 size_t ThompsonPolicy::PickChunk(const ChunkStatsTable& stats,
                                  const std::vector<bool>& eligible, common::Rng& rng) {
   CheckPriors(stats);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j) {
-    return MakeBelief(stats.N1NonNegative(j), stats.State(j).n, PriorFor(j)).Sample(rng);
+  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j, double best) {
+    const BeliefParams& prior = PriorFor(j);
+    const uint64_t n1 = stats.N1NonNegative(j);
+    const double shape = static_cast<double>(n1) + prior.alpha0;
+    common::GammaSampler& sampler = samplers_[n1 % samplers_.size()];
+    if (sampler.shape() != shape) sampler = common::GammaSampler(shape);
+    return sampler.Draw(rng, static_cast<double>(stats.State(j).n) + prior.beta0, best);
   });
 }
 
@@ -58,7 +64,7 @@ size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats,
   // the exploration bonus (Kaufmann's Bayes-UCB index).
   const double t = static_cast<double>(stats.TotalSamples()) + 1.0;
   const double level = std::min(1.0 - 1.0 / t, 1.0 - 1e-12);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j) {
+  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j, double) {
     return MakeBelief(stats.N1NonNegative(j), stats.State(j).n, PriorFor(j))
         .Quantile(level);
   });
@@ -67,7 +73,7 @@ size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats,
 size_t GreedyPolicy::PickChunk(const ChunkStatsTable& stats,
                                const std::vector<bool>& eligible, common::Rng& rng) {
   CheckPriors(stats);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j) {
+  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j, double) {
     return MakeBelief(stats.N1NonNegative(j), stats.State(j).n, PriorFor(j)).Mean();
   });
 }
@@ -76,7 +82,7 @@ size_t UniformChunkPolicy::PickChunk(const ChunkStatsTable& stats,
                                      const std::vector<bool>& eligible,
                                      common::Rng& rng) {
   return ArgmaxEligible(stats.NumChunks(), eligible, rng,
-                        [](size_t) { return 0.0; });
+                        [](size_t, double) { return 0.0; });
 }
 
 }  // namespace core

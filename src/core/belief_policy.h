@@ -1,6 +1,7 @@
 #ifndef EXSAMPLE_CORE_BELIEF_POLICY_H_
 #define EXSAMPLE_CORE_BELIEF_POLICY_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +17,8 @@ namespace core {
 /// (Algorithm 1, lines 3–6 abstracted).
 ///
 /// `eligible[j]` marks chunks that still have unsampled frames; policies must
-/// never return an ineligible chunk (at least one must be eligible).
+/// never return an ineligible chunk. At least one must be eligible: picking
+/// from none is fatal.
 class ChunkPolicy {
  public:
   virtual ~ChunkPolicy() = default;
@@ -70,12 +72,28 @@ class BeliefChunkPolicy : public ChunkPolicy {
 /// Sec. III-C): draw R_j ~ Gamma(N1_j + alpha0, n_j + beta0) for every chunk
 /// and take the argmax. Ties are broken by the randomness of the draws; on
 /// the first iteration all beliefs are identical, so the pick is uniform.
+///
+/// The pick is the engine's hot loop. It reuses `common::GammaSampler`
+/// constants across draws of the same shape N1 + alpha0, and passes its
+/// running best to each draw so boosted draws that cannot win skip their
+/// `pow`. Both are exact: the picks and the random numbers consumed are those
+/// of drawing `MakeBelief(N1, n, prior).Sample(rng)` for every eligible
+/// chunk.
 class ThompsonPolicy : public BeliefChunkPolicy {
  public:
   explicit ThompsonPolicy(BeliefParams params = {}) : BeliefChunkPolicy(params) {}
   size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
                    common::Rng& rng) override;
   std::string name() const override { return "thompson"; }
+
+ private:
+  // Sampler constants in a direct-mapped table indexed by clamped N1; a slot
+  // is rebuilt whenever it holds a different shape. Under the flat prior
+  // each N1 below the table size keeps its own slot, so nearly every draw
+  // hits. Per-chunk priors that share an N1 evict each other, which costs
+  // only the constants' recomputation. A fixed table rather than one entry
+  // per chunk keeps a query's first pick free of a heap allocation.
+  std::array<common::GammaSampler, 16> samplers_;
 };
 
 /// \brief Bayes-UCB (Kaufmann): use the upper 1 - 1/t quantile of the same

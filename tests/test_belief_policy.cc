@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/estimator.h"
 
 namespace exsample {
 namespace core {
@@ -70,6 +75,149 @@ TEST(ThompsonPolicyTest, RespectsEligibility) {
     const size_t pick = policy.PickChunk(stats, eligible, rng);
     EXPECT_NE(pick, 1u);
   }
+}
+
+TEST(ThompsonPolicyDeathTest, NoEligibleChunkIsFatal) {
+  // Release builds too: returning NumChunks() would send callers out of
+  // bounds.
+  ChunkStatsTable stats(3);
+  ThompsonPolicy policy;
+  common::Rng rng(11);
+  EXPECT_DEATH(policy.PickChunk(stats, std::vector<bool>(3, false), rng),
+               "at least one eligible chunk");
+}
+
+// The Thompson pick as it was before the sampler-constant cache and the
+// `pow` skip: a fresh belief and a full draw for every eligible chunk, argmax
+// with reservoir sampling over exact ties. `priors` empty means the flat default prior.
+size_t ReferenceThompsonPick(const ChunkStatsTable& stats,
+                             const std::vector<bool>& eligible,
+                             const std::vector<BeliefParams>& priors, common::Rng& rng) {
+  double best = -std::numeric_limits<double>::infinity();
+  size_t best_idx = stats.NumChunks();
+  uint64_t ties = 0;
+  for (size_t j = 0; j < stats.NumChunks(); ++j) {
+    if (!eligible[j]) continue;
+    const BeliefParams prior = priors.empty() ? BeliefParams{} : priors[j];
+    const double s =
+        MakeBelief(stats.N1NonNegative(j), stats.State(j).n, prior).Sample(rng);
+    if (s > best) {
+      best = s;
+      best_idx = j;
+      ties = 1;
+    } else if (s == best) {
+      ++ties;
+      if (rng.NextBounded(ties) == 0) best_idx = j;
+    }
+  }
+  return best_idx;
+}
+
+// Drives ThompsonPolicy and the reference side by side from one seed over a
+// shared stats table, asserting every pick agrees.
+class ThompsonReferenceHarness {
+ public:
+  ThompsonReferenceHarness(size_t chunks, uint64_t seed)
+      : stats(chunks), eligible(chunks, true), rng_(seed), ref_rng_(seed) {}
+
+  void SetPriors(std::vector<BeliefParams> priors) {
+    policy_.SetChunkPriors(priors);
+    priors_ = std::move(priors);
+  }
+
+  size_t Pick() {
+    const size_t pick = policy_.PickChunk(stats, eligible, rng_);
+    EXPECT_EQ(pick, ReferenceThompsonPick(stats, eligible, priors_, ref_rng_))
+        << "pick " << picks_;
+    ++picks_;
+    return pick;
+  }
+
+  // Both generators must end in the same state: same draws, same count.
+  void ExpectSameRngState() { EXPECT_EQ(rng_.NextU64(), ref_rng_.NextU64()); }
+
+  ChunkStatsTable stats;
+  std::vector<bool> eligible;
+
+ private:
+  ThompsonPolicy policy_;
+  std::vector<BeliefParams> priors_;
+  common::Rng rng_;
+  common::Rng ref_rng_;
+  int picks_ = 0;
+};
+
+// Runs `picks` picks with outcomes from `world`: every fifth chunk is
+// productive, repeat sightings push N1 down (below zero at times), and the
+// eligible set is re-drawn with holes every 50 picks.
+void RunAgainstReference(ThompsonReferenceHarness* harness, int picks,
+                         common::Rng& world) {
+  const size_t chunks = harness->stats.NumChunks();
+  for (int i = 0; i < picks; ++i) {
+    if (i % 50 == 0) {
+      for (size_t j = 0; j < chunks; ++j) harness->eligible[j] = world.Bernoulli(0.8);
+      harness->eligible[world.NextBounded(chunks)] = true;
+    }
+    const size_t j = harness->Pick();
+    const bool hit = world.Bernoulli(j % 5 == 0 ? 0.6 : 0.05);
+    const size_t found = hit ? 1 + world.NextBounded(2) : 0;
+    const size_t once = world.Bernoulli(0.3) ? 1 : 0;
+    harness->stats.Update(j, found, once);
+  }
+}
+
+TEST(ThompsonPolicyTest, FlatPriorMatchesReferenceAcrossShapes) {
+  // Productive chunks climb to shapes well above 1 while the rest stay at
+  // 0.1 (the boosted path).
+  for (size_t chunks : {size_t{1}, size_t{7}, size_t{64}, size_t{1600}}) {
+    ThompsonReferenceHarness harness(chunks, 100 + chunks);
+    common::Rng world(200 + chunks);
+    RunAgainstReference(&harness, chunks == 1600 ? 300 : 2000, world);
+    harness.ExpectSameRngState();
+    uint64_t max_n1 = 0;
+    for (size_t j = 0; j < chunks; ++j) {
+      max_n1 = std::max(max_n1, harness.stats.N1NonNegative(j));
+    }
+    EXPECT_GE(max_n1, 2u) << chunks << " chunks";
+  }
+}
+
+TEST(ThompsonPolicyTest, PerChunkPriorsMatchReference) {
+  // Warm-start priors on both sides of alpha0 = 1, installed mid-run and then
+  // replaced: each install must refresh the cached sampler constants.
+  constexpr size_t kChunks = 96;
+  ThompsonReferenceHarness harness(kChunks, 300);
+  common::Rng world(301);
+  RunAgainstReference(&harness, 500, world);
+  std::vector<BeliefParams> priors(kChunks);
+  for (size_t j = 0; j < kChunks; ++j) {
+    priors[j] = {j % 2 == 0 ? 0.4 : 2.5, 1.0 + static_cast<double>(j % 4)};
+  }
+  harness.SetPriors(priors);
+  RunAgainstReference(&harness, 1500, world);
+  for (BeliefParams& prior : priors) prior.alpha0 = prior.alpha0 < 1.0 ? 1.7 : 0.25;
+  harness.SetPriors(priors);
+  RunAgainstReference(&harness, 1500, world);
+  harness.SetPriors({});
+  RunAgainstReference(&harness, 500, world);
+  harness.ExpectSameRngState();
+}
+
+TEST(ThompsonPolicyTest, N1RisingThenFallingBelowZeroMatchesReference) {
+  // Chunk 0's N1 goes 0 -> 4 -> 1 -> -2 (clamped to 0) -> 3 -> 19, and chunk
+  // 1 sits at N1 = 3: the cached constants must follow chunk 0 in both
+  // directions, and N1 values that share a cache slot (3 and 19) must not
+  // reuse each other's.
+  ThompsonReferenceHarness harness(3, 400);
+  harness.stats.Update(1, 3, 0);
+  const std::vector<std::pair<size_t, size_t>> steps{
+      {4, 0}, {0, 3}, {0, 3}, {5, 0}, {16, 0}};
+  for (const auto& [found, once] : steps) {
+    harness.stats.Update(0, found, once);
+    for (int i = 0; i < 200; ++i) harness.Pick();
+  }
+  EXPECT_EQ(harness.stats.State(0).n1, 19);
+  harness.ExpectSameRngState();
 }
 
 TEST(BayesUcbPolicyTest, FavorsUnsampledChunksEarly) {

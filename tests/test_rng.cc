@@ -160,6 +160,29 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RngGammaTest,
                                                info.param.rate * 10));
                          });
 
+TEST(GammaSamplerTest, FloorIsExactAboveAndBelowIt) {
+  // Draws at or above the floor are bit-identical to unfloored draws; draws
+  // below it stay below it. The stream consumed is the same either way.
+  for (double shape : {0.1, 0.5, 2.0}) {
+    const GammaSampler sampler(shape);
+    Rng plain(21), floored(21), floors(22);
+    int below = 0;
+    for (int i = 0; i < 5000; ++i) {
+      const double floor = floors.Uniform(0.0, 2.0 * shape);
+      const double x = sampler.Draw(plain, 1.5);
+      const double y = sampler.Draw(floored, 1.5, floor);
+      if (x >= floor) {
+        EXPECT_EQ(y, x) << "shape " << shape << " draw " << i;
+      } else {
+        EXPECT_LT(y, floor) << "shape " << shape << " draw " << i;
+        ++below;
+      }
+    }
+    EXPECT_GT(below, 0);
+    EXPECT_EQ(plain.NextU64(), floored.NextU64());
+  }
+}
+
 class RngPoissonTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(RngPoissonTest, MeanAndVarianceMatch) {
