@@ -76,7 +76,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// \brief Total threads that execute work (workers plus the calling
-  /// thread). A pool constructed with 1 reports 1.
+  /// thread). A pool constructed with 1 reports 1. For `ParallelFor` the
+  /// caller is a lane by construction; for `Submit` it is one only when the
+  /// submitter does the work itself while it waits — as a thread draining a
+  /// `query::DecodePrefetcher` does, so an I/O pool of 2 decodes on the
+  /// draining coordinator plus one worker.
   size_t NumThreads() const { return workers_.size() + 1; }
 
   /// \brief Runs `fn(0) .. fn(n-1)` across the pool and blocks until all have
@@ -88,8 +92,11 @@ class ThreadPool {
   /// immediately. A pool without workers (constructed with 1) runs the task
   /// inline before returning — the deterministic single-threaded fallback.
   ///
+  /// Only the workers run submitted tasks; the caller never dequeues one.
   /// Completion is the submitter's business: tasks carry their own signaling
-  /// (the prefetcher marks a slot ready and notifies its parker).
+  /// (the prefetcher marks a slot ready and notifies its parker), and a
+  /// submitter that would otherwise idle can race its own tasks for the work
+  /// (the prefetcher's claim words), leaving the losing task a no-op.
   /// Destruction drains the queues — every submitted task runs before the
   /// workers exit — but callers that *wait* on task side effects must not
   /// destroy the pool from inside that wait. Tasks must not throw and must

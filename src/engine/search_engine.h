@@ -140,8 +140,12 @@ struct EngineConfig {
   /// wall-clock (the `decode`-labeled suite proves bit-identity).
   size_t prefetch_depth = 0;
   /// Threads in the engine-wide I/O pool all sessions' prefetchers share
-  /// (decode work runs there, detect fan-out stays on `num_threads`). 0 (the
-  /// default) shares the engine-wide detect pool instead.
+  /// (decode work runs there, detect fan-out stays on `num_threads`). Counts
+  /// like `ThreadPool::NumThreads`: the pool starts `io_threads - 1` workers,
+  /// and the coordinator is the remaining decode lane — a thread draining a
+  /// prefetcher performs the reads no worker has started. So 2 means the
+  /// coordinator plus one worker, and 1 decodes inline. 0 (the default)
+  /// shares the engine-wide detect pool instead.
   size_t io_threads = 0;
   /// Threads in each shard's private I/O pool ("the disk next to that shard's
   /// video"); decode work for a shard's frames then runs beside its detector.

@@ -26,9 +26,10 @@ DecodePrefetcher::DecodePrefetcher(ShardDispatcher* dispatcher,
 
 DecodePrefetcher::~DecodePrefetcher() {
   Drain();
-  // Drain guarantees every frame is decoded, but a decode task's last act —
-  // waking the parker — can still be in flight after its completion became
-  // visible. Spin out those tails before the parker is destroyed.
+  // Drain guarantees every frame is decoded, but tasks can outlive it: a
+  // winner's last act — waking the parker — can still be in flight after its
+  // completion became visible, and losers or stale tasks may still sit in
+  // the pool's queue. Spin them out before the members they read go away.
   while (inflight_tasks_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
@@ -36,15 +37,30 @@ DecodePrefetcher::~DecodePrefetcher() {
 
 const std::vector<double>& DecodePrefetcher::SubmitBatch(
     common::Span<video::FrameId> frames, common::Span<const uint32_t> shards) {
-  Drain();  // A slot vector reused under in-flight tasks would race.
+  // Every read of the previous batch must be performed before its slots are
+  // reused. Tasks still queued from it need not run first: they find their
+  // claim words taken and touch nothing else.
+  Drain();
   common::Check(dispatcher_ == nullptr || shards.size() == frames.size(),
                 "sharded prefetch needs the owner of every frame");
 
-  // Everything below runs under mu_: no decode tasks are in flight (Drain
-  // just completed, and enqueueing happens at the end of this scope), but a
-  // concurrent observer may be inside Cached(), which reads the containers
-  // this section rebuilds.
+  // Everything below runs under mu_: no decode task of ours is performing a
+  // read (Drain just completed, and enqueueing happens at the end of this
+  // scope), but a concurrent observer may be inside Cached(), which reads the
+  // containers this section rebuilds.
   std::lock_guard<std::mutex> lock(mu_);
+  generation_ += 1;
+  if (frames.size() > claims_capacity_) {
+    // Stale tasks read claims_; reallocate only once none is left.
+    while (inflight_tasks_.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
+    claims_capacity_ = std::max(frames.size(), 2 * claims_capacity_);
+    claims_ = std::make_unique<std::atomic<uint64_t>[]>(claims_capacity_);
+    for (size_t i = 0; i < claims_capacity_; ++i) {
+      claims_[i].store(0, std::memory_order_relaxed);
+    }
+  }
   slots_.clear();
   slots_.resize(frames.size());
   charges_.resize(frames.size());
@@ -111,22 +127,24 @@ void DecodePrefetcher::EnqueueAheadLocked() {
     }
     stats_.async_reads += 1;
     inflight_tasks_.fetch_add(1, std::memory_order_relaxed);
-    slot.pool->Submit([this, i] {
-      // The slot vector is stable for the whole batch (SubmitBatch drains
-      // before resizing), and plan/store are immutable once enqueued; this
-      // task shares nothing mutable with the coordinator — completion is
-      // announced by the ring push below, not by touching the slot.
-      Slot& s = slots_[i];
-      s.store->PerformRead(s.plan);
-      // The push cannot fail: in-order consumption keeps unconsumed
-      // completions bounded by `depth + 1`, which is the ring's capacity
-      // (see the member comment). A full ring here means the window
-      // invariant broke — die loudly rather than drop a frame.
-      common::Check(completions_->TryPush(size_t{i}),
-                    "prefetch completion ring overflow");
-      // Waiter-counted wake: no syscall (and no mutex) unless the
-      // coordinator is actually parked in WaitFrame/Drain.
-      ready_parker_.WakeOne();
+    slot.pool->Submit([this, i, generation = generation_] {
+      if (TryClaim(i, generation)) {
+        // Winning the claim means this batch is live and slot i unperformed:
+        // the slot vector cannot be rebuilt until the ring push below is
+        // popped, and plan/store are immutable once enqueued. Completion is
+        // announced by that push, not by touching the slot.
+        Slot& s = slots_[i];
+        s.store->PerformRead(s.plan);
+        // The push cannot fail: in-order consumption keeps unconsumed
+        // completions bounded by `depth + 1`, which is the ring's capacity
+        // (see the member comment). A full ring here means the window
+        // invariant broke — die loudly rather than drop a frame.
+        common::Check(completions_->TryPush(size_t{i}),
+                      "prefetch completion ring overflow");
+        // Waiter-counted wake: no syscall (and no mutex) unless the
+        // coordinator is actually parked in WaitFrame/Drain.
+        ready_parker_.WakeOne();
+      }
       inflight_tasks_.fetch_sub(1, std::memory_order_release);
     });
   }
@@ -138,18 +156,66 @@ void DecodePrefetcher::EnqueueAheadLocked() {
   }
 }
 
+bool DecodePrefetcher::TryClaim(size_t index, uint64_t generation) {
+  std::atomic<uint64_t>& word = claims_[index];
+  uint64_t seen = word.load(std::memory_order_relaxed);
+  // Claimants of one slot are the live batch's task and its coordinator (same
+  // generation) plus stale tasks (lower generations, which always find the
+  // word at or above their own): one CAS decides.
+  return seen < generation &&
+         word.compare_exchange_strong(seen, generation, std::memory_order_relaxed);
+}
+
+void DecodePrefetcher::MarkReadyLocked(size_t index) {
+  common::Check(index < enqueued_ && !slots_[index].ready,
+                "prefetch read performed twice");
+  slots_[index].ready = true;
+}
+
 void DecodePrefetcher::DrainCompletionsLocked() {
   size_t index = 0;
   while (completions_->TryPop(index)) {
-    slots_[index].ready = true;
+    MarkReadyLocked(index);
   }
 }
 
+bool DecodePrefetcher::HelpOneLocked(std::unique_lock<std::mutex>& lock,
+                                     size_t index, Help help) {
+  // Every candidate is enqueued (index < cursor_ <= enqueued_). Slots read
+  // inline (a workerless shard pool) are ready without ever being claimed.
+  const auto claim = [&](size_t i) {
+    return !slots_[i].ready && TryClaim(i, generation_);
+  };
+  size_t target = index;
+  if (!claim(target)) {
+    if (help == Help::kAwaitedOnly) return false;
+    // The worker pops the window from the front; take it from the back so
+    // the two lanes meet instead of racing for the same slots.
+    target = enqueued_;
+    while (target > cursor_ && !claim(target - 1)) --target;
+    if (target == cursor_) return false;
+    --target;
+  }
+  // The slot is ours; only this thread rebuilds slots_, so reading it
+  // without mu_ is safe, and observers can run meanwhile.
+  lock.unlock();
+  slots_[target].store->PerformRead(slots_[target].plan);
+  lock.lock();
+  MarkReadyLocked(target);
+  stats_.helped_reads += 1;
+  return true;
+}
+
 void DecodePrefetcher::WaitReadyLocked(std::unique_lock<std::mutex>& lock,
-                                       size_t index) {
+                                       size_t index, Help help) {
   DrainCompletionsLocked();
   int idle_spins = 0;
   while (!slots_[index].ready) {
+    if (HelpOneLocked(lock, index, help)) {
+      DrainCompletionsLocked();
+      idle_spins = 0;
+      continue;
+    }
     if (++idle_spins < common::Parker::kSpinIterations) {
       // Spin without mu_ so observers (Cached) are not starved, and yield
       // so the decode worker gets the core on an oversubscribed host.
@@ -186,7 +252,7 @@ void DecodePrefetcher::WaitFrame(size_t index) {
   // while the caller (and we) wait for this one.
   cursor_ = index + 1;
   EnqueueAheadLocked();
-  WaitReadyLocked(lock, index);
+  WaitReadyLocked(lock, index, Help::kAwaitedOnly);
 }
 
 void DecodePrefetcher::Drain() {
@@ -194,7 +260,7 @@ void DecodePrefetcher::Drain() {
   while (cursor_ < slots_.size()) {
     const size_t index = cursor_++;
     EnqueueAheadLocked();
-    WaitReadyLocked(lock, index);
+    WaitReadyLocked(lock, index, Help::kWindow);
   }
 }
 

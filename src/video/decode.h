@@ -25,7 +25,9 @@ struct DecodeCostModel {
   /// When > 0, `PerformRead` spends `charged seconds * wall_clock_scale` of
   /// real time per read (a sleep standing in for the decoder's actual work),
   /// so benchmarks can measure decode/detect overlap in wall-clock. 0 (the
-  /// default) keeps the store accounting-only, exactly as before.
+  /// default) keeps the store accounting-only, exactly as before. The sleep
+  /// overshoots by the OS timer slack — about 55 us per read on Linux, so a
+  /// 23 us read takes ~80 us of wall — which weighs on short reads.
   double wall_clock_scale = 0.0;
 
   /// \brief Seconds to randomly access and decode local frame `frame_in_clip`.

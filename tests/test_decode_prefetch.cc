@@ -10,15 +10,21 @@
 //      the synchronous decode path (depth 0) — overlap buys wall-clock only;
 //  (d) the same holds composed with sharding (prefetch × shards {1, 2, 5},
 //      per-shard stores and I/O pools), and under concurrent sessions
-//      sharing the engine's prefetch pools.
+//      sharing the engine's prefetch pools;
+//  (e) a waiting coordinator performs unstarted reads itself — all of them
+//      in `Drain`, only the awaited one in `WaitFrame` — and every planned
+//      read is performed exactly once whoever wins the claim.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/search_engine.h"
 #include "query/prefetch.h"
 #include "scene/generator.h"
@@ -362,6 +368,188 @@ TEST(DecodePrefetchShardingTest, ConcurrentSessionsSharingPrefetchPools) {
     ExpectTracesIdentical(solo.value(), traces.value()[i],
                           "concurrent session " + std::to_string(i));
   }
+}
+
+// (e) The waiting coordinator is a decode lane.
+
+// Parks a pool's worker until `Open()`: reads submitted meanwhile stay
+// queued, so only a coordinator that helps can perform them. Opens on
+// destruction — declare it after the prefetcher, whose destructor waits for
+// the queued (by then no-op) tasks to run.
+class WorkerGate {
+ public:
+  explicit WorkerGate(common::ThreadPool* pool) : state_(std::make_shared<State>()) {
+    std::future<void> entered = state_->entered.get_future();
+    std::shared_future<void> open = state_->open.get_future().share();
+    pool->Submit([state = state_, open] {
+      state->entered.set_value();
+      open.wait();
+    });
+    entered.wait();
+  }
+  ~WorkerGate() { Open(); }
+
+  void Open() {
+    if (opened_) return;
+    opened_ = true;
+    state_->open.set_value();
+  }
+
+ private:
+  struct State {
+    std::promise<void> entered;
+    std::promise<void> open;
+  };
+  std::shared_ptr<State> state_;
+  bool opened_ = false;
+};
+
+TEST(DecodePrefetcherHelpTest, DrainPerformsEveryReadWhileTheWorkerIsBlocked) {
+  const video::VideoRepository repo = video::VideoRepository::UniformClips(4, 500);
+  video::SimulatedVideoStore reference(&repo, {});
+  video::SimulatedVideoStore store(&repo, {});
+  common::ThreadPool pool(2);  // The caller plus one worker.
+  query::PrefetchOptions options;
+  options.depth = 4;
+  query::DecodePrefetcher prefetcher(&store, &pool, options);
+  WorkerGate gate(&pool);
+
+  const std::vector<video::FrameId> first = {10, 11, 900, 12, 1500, 13, 901, 14};
+  // No larger than `first`: growing the claim array would wait for the
+  // blocked worker to work off the first batch's queued tasks.
+  const std::vector<video::FrameId> second = {15, 16, 1700, 1701, 3};
+  size_t frames = 0;
+  for (const std::vector<video::FrameId>* batch : {&first, &second}) {
+    const std::vector<double> charges = prefetcher.SubmitBatch(*batch);
+    prefetcher.Drain();
+    for (size_t i = 0; i < batch->size(); ++i) {
+      // ReadAndDecode, split so the per-read charge is visible.
+      auto plan = reference.PlanRead((*batch)[i]);
+      ASSERT_TRUE(plan.ok());
+      reference.PerformRead(plan.value());
+      EXPECT_EQ(charges[i], plan.value().seconds) << "frame " << (*batch)[i];
+      EXPECT_TRUE(prefetcher.Cached((*batch)[i])) << "frame " << (*batch)[i];
+    }
+    frames += batch->size();
+    EXPECT_EQ(store.Stats().total_seconds, reference.Stats().total_seconds);
+    const query::PrefetchStats& stats = prefetcher.stats();
+    EXPECT_EQ(stats.helped_reads, frames);
+    EXPECT_EQ(stats.async_reads, frames);
+    EXPECT_EQ(stats.inline_reads, 0u);
+    EXPECT_LE(stats.max_ahead, options.depth);
+  }
+  EXPECT_EQ(store.Stats().random_reads, reference.Stats().random_reads);
+  EXPECT_EQ(store.Stats().sequential_reads, reference.Stats().sequential_reads);
+}
+
+TEST(DecodePrefetcherHelpTest, WaitFrameHelpsOnlyTheAwaitedFrame) {
+  const video::VideoRepository repo = video::VideoRepository::SingleClip(1000);
+  video::SimulatedVideoStore store(&repo, {});
+  common::ThreadPool pool(2);
+  query::PrefetchOptions options;
+  options.depth = 4;
+  query::DecodePrefetcher prefetcher(&store, &pool, options);
+  WorkerGate gate(&pool);
+
+  const std::vector<video::FrameId> frames = {1, 2, 3, 500, 501, 502, 800, 900};
+  prefetcher.SubmitBatch(frames);
+  const size_t waits = 4;
+  for (size_t i = 0; i < waits; ++i) prefetcher.WaitFrame(i);
+  // The window now covers every frame, but with the worker blocked only the
+  // awaited ones were performed, each by its waiter.
+  EXPECT_EQ(prefetcher.stats().helped_reads, waits);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(prefetcher.Cached(frames[i]), i < waits) << "frame " << frames[i];
+  }
+
+  gate.Open();
+  prefetcher.Drain();
+  for (const video::FrameId frame : frames) EXPECT_TRUE(prefetcher.Cached(frame));
+  const query::PrefetchStats& stats = prefetcher.stats();
+  EXPECT_EQ(stats.async_reads + stats.inline_reads, frames.size());
+  EXPECT_LE(stats.helped_reads, stats.async_reads);
+}
+
+// While a worker is inside the awaited frame's read, WaitFrame must not
+// start a later frame: the caller runs detection next, and would sit in that
+// read instead. Drain, which has nothing else to do, may.
+TEST(DecodePrefetcherHelpTest, WaitFrameLeavesLaterFramesToTheWorker) {
+  const video::VideoRepository repo = video::VideoRepository::SingleClip(1000);
+  video::DecodeCostModel cost;
+  cost.wall_clock_scale = 1.0;
+  video::SimulatedVideoStore store(&repo, cost);
+  common::ThreadPool pool(2);
+  query::PrefetchOptions options;
+  options.depth = 4;
+  query::DecodePrefetcher prefetcher(&store, &pool, options);
+
+  // The first read decodes a whole keyframe interval (~42 ms of wall); the
+  // others sit on keyframes (~4 ms each), so a coordinator that helped
+  // the window would finish all three while the worker is still in frame 19.
+  const std::vector<video::FrameId> frames = {19, 100, 200, 300};
+  prefetcher.SubmitBatch(frames);
+  // Let the idle worker start frame 19 (if it has not, WaitFrame performs
+  // it itself, which the bound below allows).
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  prefetcher.WaitFrame(0);
+  EXPECT_LE(prefetcher.stats().helped_reads, 1u);
+  prefetcher.Drain();
+  for (const video::FrameId frame : frames) EXPECT_TRUE(prefetcher.Cached(frame));
+}
+
+// Tasks left from batch g run while batch g+1 is live, and the coordinator
+// races the worker for every slot. A read claimed twice dies on the
+// prefetcher's "performed twice" check; one never performed would hang
+// Drain. So completing with every frame cached is exactly-once.
+TEST(DecodePrefetcherHelpTest, EveryPlannedReadIsPerformedExactlyOnce) {
+  const video::VideoRepository repo = video::VideoRepository::UniformClips(8, 5000);
+  common::ThreadPool pool(2);
+  size_t total_batches = 0;
+  for (const size_t depth : {1u, 4u, 8u}) {
+    video::SimulatedVideoStore reference(&repo, {});
+    video::SimulatedVideoStore store(&repo, {});
+    query::PrefetchOptions options;
+    options.depth = depth;
+    query::DecodePrefetcher prefetcher(&store, &pool, options);
+    common::Rng rng(depth);
+    size_t frames_total = 0;
+    for (size_t b = 0; b < 400; ++b) {
+      // Alternating sizes, with an occasional larger batch that grows the
+      // claim array while tasks from earlier batches may still be queued.
+      const size_t size = b % 50 == 49 ? 3 * depth + b / 10 : (b % 2 == 0 ? 3 : 11);
+      std::vector<video::FrameId> frames(size);
+      for (size_t i = 0; i < size; ++i) {
+        frames[i] = rng.NextBounded(repo.TotalFrames());
+      }
+      const std::vector<double> charges = prefetcher.SubmitBatch(frames);
+      for (size_t i = 0; i < size; ++i) {
+        auto plan = reference.PlanRead(frames[i]);
+        ASSERT_TRUE(plan.ok());
+        ASSERT_EQ(charges[i], plan.value().seconds) << "batch " << b << " frame " << i;
+      }
+      // Vary how the batch is consumed: fully by WaitFrame, half then
+      // Drain, or left to the next SubmitBatch's drain.
+      const size_t waited = b % 3 == 0 ? size : (b % 3 == 1 ? size / 2 : 0);
+      for (size_t i = 0; i < waited; ++i) prefetcher.WaitFrame(i);
+      if (b % 3 == 1) prefetcher.Drain();
+      if (b % 3 != 2) {
+        for (const video::FrameId frame : frames) {
+          ASSERT_TRUE(prefetcher.Cached(frame)) << "batch " << b;
+        }
+      }
+      frames_total += size;
+    }
+    prefetcher.Drain();
+    EXPECT_EQ(store.Stats().total_seconds, reference.Stats().total_seconds);
+    const query::PrefetchStats& stats = prefetcher.stats();
+    EXPECT_EQ(stats.frames, frames_total);
+    EXPECT_EQ(stats.async_reads + stats.inline_reads, frames_total);
+    EXPECT_EQ(stats.inline_reads, 0u);
+    EXPECT_LE(stats.helped_reads, stats.async_reads);
+    EXPECT_LE(stats.max_ahead, depth);
+    total_batches += stats.batches;
+  }
+  EXPECT_GE(total_batches, 1000u);
 }
 
 }  // namespace

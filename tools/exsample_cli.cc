@@ -16,8 +16,9 @@
 //   --decode           simulate I/O+decode cost (per-query video store)
 //   --prefetch=D       decode-ahead window: overlap decode of the next D
 //                      frames with detection (implies --decode; 0 = sync)
-//   --io-threads=N     decode worker threads for the prefetcher (implies
-//                      --decode; default: 0 = share the detect pool)
+//   --io-threads=N     decode lanes for the prefetcher: N-1 I/O workers
+//                      plus the waiting coordinator (implies --decode;
+//                      default: 0 = share the detect pool)
 //   --affinity=SPEC    pin engine threads to CPUs (Linux; best-effort, a
 //                      no-op elsewhere). SPEC is either a bare taskset-style
 //                      list ("0-3,6") applied to the detect workers, or
