@@ -2,26 +2,20 @@
 #define EXSAMPLE_COMMON_RING_BUFFER_H_
 
 /// \file ring_buffer.h
-/// \brief Bounded lock-free ring buffers for the engine's hot handoffs.
+/// \brief Bounded lock-free ring buffer for the engine's hot handoffs.
 ///
-/// Two variants, both fixed-capacity and allocation-free after
+/// MpscRingBuffer<T> is fixed-capacity and allocation-free after
 /// construction, with indices padded to separate cache lines so a
-/// producer and a consumer never false-share:
-///
-///  - SpscRingBuffer<T>: single producer, single consumer. The classic
-///    Lamport queue with producer/consumer-local cached copies of the
-///    remote index, so the common case touches one shared atomic with
-///    acquire/release ordering and nothing stronger.
-///  - MpscRingBuffer<T>: many producers, and pops are safe from
-///    multiple consumer threads too (the thread pool's workers steal
-///    from each other's rings). Bounded Vyukov-style queue: each cell
-///    carries a sequence number; producers claim a cell with one CAS
-///    on the tail, consumers with one CAS on the head, and the cell
-///    sequence hands the slot back and forth with release/acquire
-///    ordering only.
+/// producer and a consumer never false-share. It takes many producers,
+/// and pops are safe from multiple consumer threads too (the thread
+/// pool's workers steal from each other's rings). Bounded Vyukov-style
+/// queue: each cell carries a sequence number; producers claim a cell
+/// with one CAS on the tail, consumers with one CAS on the head, and the
+/// cell sequence hands the slot back and forth with release/acquire
+/// ordering only.
 ///
 /// Capacity is rounded up to the next power of two so index wrapping
-/// is a mask, not a divide. Neither variant blocks: TryPush fails when
+/// is a mask, not a divide. The ring never blocks: TryPush fails when
 /// full, TryPop fails when empty, and callers layer waiting/parking on
 /// top (see parking.h). Determinism note: these queues carry *work*,
 /// never *results ordering* — batch planning stays on the coordinator,
@@ -51,81 +45,6 @@ constexpr std::size_t RoundUpPowerOfTwo(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
-
-/// \brief Bounded single-producer / single-consumer ring buffer.
-///
-/// Exactly one thread may call TryPush and exactly one thread may call
-/// TryPop over the buffer's lifetime (the two may be the same thread).
-/// T must be movable. Elements are move-assigned into pre-constructed
-/// slots, so T needs a default constructor; for the engine's use cases
-/// (indices, pointers, byte vectors) this is free.
-template <typename T>
-class SpscRingBuffer {
- public:
-  /// \brief Create a ring holding at least \p min_capacity elements.
-  explicit SpscRingBuffer(std::size_t min_capacity)
-      : mask_(RoundUpPowerOfTwo(min_capacity + 1) - 1),
-        slots_(mask_ + 1) {}
-
-  SpscRingBuffer(const SpscRingBuffer&) = delete;
-  SpscRingBuffer& operator=(const SpscRingBuffer&) = delete;
-
-  /// \brief Usable capacity (one slot is sacrificed to distinguish
-  /// full from empty).
-  std::size_t Capacity() const { return mask_; }
-
-  /// \brief Producer side: enqueue \p value. Returns false if full.
-  bool TryPush(T&& value) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t next = (tail + 1) & mask_;
-    if (next == head_cache_) {
-      // Producer's view of the consumer index is stale; refresh it.
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (next == head_cache_) return false;  // genuinely full
-    }
-    slots_[tail] = std::move(value);
-    tail_.store(next, std::memory_order_release);
-    return true;
-  }
-
-  /// \brief Consumer side: dequeue into \p out. Returns false if empty.
-  bool TryPop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;  // genuinely empty
-    }
-    out = std::move(slots_[head]);
-    head_.store((head + 1) & mask_, std::memory_order_release);
-    return true;
-  }
-
-  /// \brief Approximate occupancy; exact only when both sides are
-  /// quiescent. Safe to call from any thread for stats/tests.
-  std::size_t ApproxSize() const {
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    return (tail - head) & mask_;
-  }
-
-  /// \brief True when no element is visible. Same caveat as ApproxSize.
-  bool Empty() const { return ApproxSize() == 0; }
-
- private:
-  const std::size_t mask_;
-  std::vector<T> slots_;
-
-  // Producer-owned line: tail plus the producer's cached head.
-  alignas(kCacheLineSize) std::atomic<std::size_t> tail_{0};
-  std::size_t head_cache_ = 0;
-
-  // Consumer-owned line: head plus the consumer's cached tail.
-  alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};
-  std::size_t tail_cache_ = 0;
-
-  // Trailing pad so an adjacent object cannot share the consumer line.
-  char pad_end_[kCacheLineSize] = {};
-};
 
 /// \brief Bounded multi-producer ring buffer with multi-consumer-safe
 /// pops (Vyukov bounded queue).

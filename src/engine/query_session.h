@@ -95,7 +95,7 @@ class QuerySession {
   }
 
   /// \brief The session's shard dispatcher, or null when the engine is not
-  /// sharded. Exposes per-shard execution stats for observability.
+  /// sharded. Per-shard cost is in `ShardParts()`.
   const query::ShardDispatcher* shard_dispatcher() const {
     return shard_dispatcher_.get();
   }

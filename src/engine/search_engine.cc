@@ -496,11 +496,11 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
   // session in a wave begins its step (submitting its detect work to the
   // shared service when the engine has one), the service flushes the merged
   // queues as full cross-session device batches, and the wave's sessions
-  // finish their steps in submission order. A session scheduled twice in a
-  // round closes the current wave first — a wave holds at most one pending
-  // step per session. Without a service the waves degenerate to plain
-  // sequential stepping. Per-query state lives in the sessions, so neither
-  // the grant order nor the coalescing can change any individual trace.
+  // finish their steps in submission order. A session scheduled while its
+  // step is pending has that step finished first. Without a service the
+  // waves degenerate to plain sequential stepping. Per-query state lives in
+  // the sessions, so neither the grant order nor the coalescing can change
+  // any individual trace.
   query::SessionSchedulerOptions scheduler_options;
   scheduler_options.seed = config_.scheduler_seed;
   scheduler_options.starvation_rounds =
@@ -528,10 +528,20 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
   // The wave execution (begin → flush → finish in submission order, sticky
   // transport failure) lives in the shared `SessionWaveDriver` — the same
   // machinery the serving layer drives admitted tenant sessions through.
-  SessionWaveDriver driver(service, [&](size_t idx) {
-    sessions[idx]->FinishStep();
-    if (observer) observer(idx, *sessions[idx]);
-  });
+  // Rounds may be pipelined — a split round's second half-wave stays on the
+  // wire while the next round is planned and begun — when the plan reads
+  // nothing a finishing step changes but `done`, and no session can see
+  // another's results (the reuse cache and sketch are shared state a step
+  // writes, so a later begin must not overtake an earlier finish).
+  const bool pipeline = scheduler->PlansOnDoneOnly() && !config_.reuse.cache &&
+                        !config_.reuse.sketch;
+  SessionWaveDriver driver(
+      service,
+      [&](size_t idx) {
+        sessions[idx]->FinishStep();
+        if (observer) observer(idx, *sessions[idx]);
+      },
+      pipeline);
 
   while (driver.status().ok()) {
     size_t live = 0;
@@ -553,6 +563,7 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
                              infos.data(), infos.size()),
                          &order);
     if (order.empty()) break;  // A scheduler that refuses to plan live work.
+    driver.BeginRound(order.size());
     bool failed = false;
     for (const size_t idx : order) {
       common::Check(idx < sessions.size(), "scheduler planned an unknown session");
@@ -562,7 +573,7 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
         break;
       }
     }
-    if (failed || !driver.FlushWave()) break;
+    if (failed || !driver.EndRound()) break;
     maybe_dump_stats();
     // A round with no progress still terminates the loop eventually: its
     // first grant to a then-live session either progressed or marked that
@@ -570,10 +581,14 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
     // the next round replans against refreshed tallies.
   }
 
+  // Finish whatever a pipelined round may have left on the wire before the
+  // sessions are finished or aborted.
+  driver.FlushWave();
   if (!driver.status().ok()) {
-    // Release every half-begun step (decode tasks hold spans into the
-    // abandoned batches) and whatever the service still queues, then hand
-    // the failure to the caller instead of partial traces.
+    // Receive what is still on the wire, release every half-begun step
+    // (decode tasks hold spans into the abandoned batches) and whatever the
+    // service still queues, then hand the failure to the caller instead of
+    // partial traces.
     driver.AbortPending(sessions);
     return driver.status();
   }

@@ -338,6 +338,9 @@ class SearchEngine {
   /// query state is isolated in the sessions, scheduling only reorders step
   /// grants, and coalescing only re-packs device batches — but the shared
   /// thread pool, scorer cache, and detector batches are paid for once.
+  /// Over an asynchronous transport, rounds whose decode outlasts the wire
+  /// round trip run pipelined: one half-wave decodes while the other is on
+  /// the wire (`SessionWaveDriver`); steps still finish in grant order.
   common::Result<std::vector<query::QueryTrace>> RunConcurrent(
       const std::vector<QuerySpec>& specs);
 

@@ -1,24 +1,10 @@
 #include "query/detector_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace exsample {
 namespace query {
-
-namespace {
-
-/// Monotonic wall clock in seconds (ticket latency, flush deadlines). Wall
-/// clock never feeds the trace — simulated seconds do — so reading it here
-/// cannot perturb determinism.
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 ServiceStatsBinding ServiceStatsBinding::Bind(stats::CounterRegistry* registry,
                                               stats::CounterSlab* slab,
@@ -95,7 +81,7 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   pr.request = request;
   pr.results.resize(request.frames.size());
   pr.remaining = request.frames.size();
-  pr.submit_seconds = NowSeconds();
+  pr.submit_seconds = WireClockSeconds();
 
   std::vector<uint32_t> touched;  // Distinct shards this request routed to.
   for (size_t i = 0; i < request.frames.size(); ++i) {
@@ -127,7 +113,7 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
     }
     if (!full.empty()) {
       std::sort(full.begin(), full.end());  // Deterministic flush order.
-      FlushShards(full, /*only_full_slices=*/true, FlushReason::kFill);
+      Collect(ShipShards(full, /*only_full_slices=*/true, FlushReason::kFill));
     }
   }
   return ticket;
@@ -137,7 +123,7 @@ void DetectorService::Poll() {
   if (options_.flush_policy != FlushPolicy::kLatencyAware) return;
   if (options_.flush_deadline_seconds <= 0.0) return;
   if (!transport_status_.ok()) return;
-  const double now = NowSeconds();
+  const double now = WireClockSeconds();
   std::vector<uint32_t> due;
   for (uint32_t s = 0; s < queues_.size(); ++s) {
     if (queues_[s].empty()) continue;
@@ -147,24 +133,42 @@ void DetectorService::Poll() {
     }
   }
   if (!due.empty()) {
-    FlushShards(due, /*only_full_slices=*/false, FlushReason::kDeadline);
+    Collect(ShipShards(due, /*only_full_slices=*/false, FlushReason::kDeadline));
   }
 }
 
 void DetectorService::Flush() {
+  Ship();
+  // Collect every outstanding flush — a pipelined driver's earlier shipments
+  // included — so every submitted request is ready afterwards.
+  while (!shipped_.empty()) ReceiveOne();
+}
+
+DetectorService::FlushId DetectorService::Ship() {
   std::vector<uint32_t> active;
   for (uint32_t s = 0; s < queues_.size(); ++s) {
     if (!queues_[s].empty()) active.push_back(s);
   }
-  if (active.empty()) return;
+  if (active.empty()) return 0;
   stats_.flushes += 1;
   stats::SlabAdd(stats_binding_.slab, stats_binding_.flushes);
-  FlushShards(active, /*only_full_slices=*/false, FlushReason::kBarrier);
+  return ShipShards(active, /*only_full_slices=*/false, FlushReason::kBarrier);
 }
 
-void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
-                                  bool only_full_slices, FlushReason reason) {
-  if (!transport_status_.ok()) return;  // Sticky-failed: nothing can execute.
+void DetectorService::Collect(FlushId flush) {
+  while (shipped_.count(flush) != 0) ReceiveOne();
+}
+
+DetectorService::FlushTiming DetectorService::TakeFlushTiming() {
+  const FlushTiming timing = timing_;
+  timing_ = FlushTiming();
+  return timing;
+}
+
+DetectorService::FlushId DetectorService::ShipShards(
+    const std::vector<uint32_t>& shards, bool only_full_slices,
+    FlushReason reason) {
+  if (!transport_status_.ok()) return 0;  // Sticky-failed: nothing can execute.
 
   // Extract the work: the whole queue per shard, or only whole device-batch
   // slices for the fill trigger. Each frame's pending request is resolved
@@ -187,16 +191,16 @@ void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
     pending_frames_ -= count;
     work.emplace_back(s, std::move(entries));
   }
-  if (work.empty()) return;
+  if (work.empty()) return 0;
   if (reason == FlushReason::kFill) stats_.fill_flushes += 1;
   if (reason == FlushReason::kDeadline) stats_.deadline_flushes += 1;
   stats::SlabSetGauge(stats_binding_.slab, stats_binding_.queue_depth,
                       static_cast<double>(pending_frames_));
 
   // Decode barrier: drain the prefetcher of every request about to be
-  // detected, in ticket order, before any detection runs (the charges were
-  // already planned, in batch order, at submit time — the drain only waits
-  // for the decode *work*).
+  // detected, in ticket order, before any of this flush is sent (the charges
+  // were already planned, in batch order, at submit time — the drain only
+  // waits for the decode *work*, and the coordinator helps with it).
   std::vector<Ticket> involved;
   for (const ShardWork& shard_work : work) {
     for (const WorkItem& entry : shard_work.second) {
@@ -205,31 +209,173 @@ void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
   }
   std::sort(involved.begin(), involved.end());
   involved.erase(std::unique(involved.begin(), involved.end()), involved.end());
+  const double drain_start = WireClockSeconds();
   for (const Ticket ticket : involved) {
     const PendingRequest& pr = pending_.at(ticket);
     if (pr.request.prefetcher != nullptr) pr.request.prefetcher->Drain();
   }
+  timing_.decode_seconds += WireClockSeconds() - drain_start;
 
-  SendAndCollect(work);
-  if (!transport_status_.ok()) return;  // Everything pending was cancelled.
+  // Ship every slice without waiting — the runners work concurrently, and
+  // the caller may work while they do; completions are collected in
+  // whatever order they arrive (`ReceiveOne`), and results land in fixed
+  // ticket slots, so arrival order is irrelevant to the trace.
+  const FlushId id = next_flush_++;
+  ShippedFlush& flush = shipped_[id];
+  for (const ShardWork& shard_work : work) {
+    const uint32_t shard = shard_work.first;
+    const std::vector<WorkItem>& entries = shard_work.second;
+    for (size_t begin = 0; begin < entries.size(); begin += options_.device_batch) {
+      const size_t count = std::min(options_.device_batch, entries.size() - begin);
+      InFlightSlice slice;
+      slice.flush = id;
+      slice.origin_shard = shard;
+      slice.entries.assign(entries.begin() + static_cast<ptrdiff_t>(begin),
+                           entries.begin() + static_cast<ptrdiff_t>(begin + count));
+      if (!RouteShard(shard, &slice.runner)) {
+        FailTransport(common::Status::Internal(
+            "detect transport failed permanently: every shard runner is down"));
+        return 0;
+      }
+      const uint64_t seq = next_wire_seq_++;
+      slice.send_seconds = WireClockSeconds();
+      common::CheckOk(options_.transport->Send(slice.runner, BuildRequest(slice, seq)),
+                      "wire send failed");
+      stats_.wire_batches += 1;
+      stats::SlabAdd(stats_binding_.slab, stats_binding_.wire_batches);
+      // Proactive reroute off a runner already known to be down: still a
+      // first send, counted apart from failure-driven requeue resends.
+      if (slice.runner != slice.origin_shard) stats_.wire_reroutes += 1;
+      inflight_.emplace(seq, std::move(slice));
+      flush.outstanding += 1;
+    }
+  }
+  flush.work = std::move(work);
+  flush.involved = std::move(involved);
+  flush.shipped_seconds = WireClockSeconds();
+  return id;
+}
+
+DetectRequestMsg DetectorService::BuildRequest(const InFlightSlice& slice,
+                                               uint64_t wire_seq) const {
+  DetectRequestMsg msg;
+  msg.wire_seq = wire_seq;
+  msg.origin_shard = slice.origin_shard;
+  msg.attempt = slice.attempt;
+  msg.repo_fingerprint = options_.repo_fingerprint;
+  msg.slots.reserve(slice.entries.size());
+  for (const WorkItem& entry : slice.entries) {
+    const PendingRequest& pr = *entry.request;
+    msg.slots.push_back(
+        WireSlot{pr.request.session_id, pr.request.frames[entry.frame_index]});
+  }
+  return msg;
+}
+
+void DetectorService::ReceiveOne() {
+  ShardTransport* transport = options_.transport;
+  auto received = transport->Receive();
+  common::CheckOk(received.status(), "wire receive failed");
+  WireCompletion completion = std::move(received).value();
+  DetectResponseMsg& response = completion.response;
+  const auto it = inflight_.find(response.wire_seq);
+  common::Check(it != inflight_.end(), "wire response for an unknown batch");
+  InFlightSlice& slice = it->second;
+
+  if (response.status == WireStatus::kOk) {
+    common::Check(response.detections.size() == slice.entries.size(),
+                  "wire response slot count mismatch");
+    // One transport round-trip, (re)send to the response's arrival — not to
+    // this call, which a pipelined coordinator may make much later. Retried
+    // batches time from their last send: the round trip the wire actually
+    // served, not the cumulative wait.
+    stats::TimerRecord(stats_binding_.timer, stats::Stage::kTransport,
+                       completion.arrived_seconds - slice.send_seconds);
+    for (size_t i = 0; i < slice.entries.size(); ++i) {
+      slice.entries[i].request->results[slice.entries[i].frame_index] =
+          std::move(response.detections[i]);
+    }
+    stats_.wire_charged_seconds += response.charged_seconds;
+    const FlushId id = slice.flush;
+    inflight_.erase(it);
+    ShippedFlush& flush = shipped_.at(id);
+    flush.last_arrival_seconds =
+        std::max(flush.last_arrival_seconds, completion.arrived_seconds);
+    if (--flush.outstanding == 0) CompleteFlush(id);
+    return;
+  }
+
+  // A repository mismatch is a deployment error, not an availability one:
+  // every runner of the mis-deployed fleet would reject the same batch, so
+  // requeuing it around — marking healthy runners down on the way — would
+  // only bury the real diagnosis under "every runner failed". Fail fast,
+  // by name.
+  if (response.status == WireStatus::kRepoMismatch) {
+    inflight_.erase(it);
+    FailTransport(common::Status::FailedPrecondition(
+        "shard runner rejected the batch: repository fingerprint mismatch "
+        "(coordinator and runners serve different repositories)"));
+    return;
+  }
+
+  // Unavailability (the only failure reaching here): retried in place;
+  // exhausted retries mark the runner down and requeue the batch onto a
+  // surviving shard's runner. `origin_shard` never changes, so the
+  // surviving runner resolves the *same* session/shard detector contexts
+  // — detections, and the session's per-shard charged seconds, are
+  // identical to the no-failure run.
+  if (slice.runner_attempts < options_.max_retries) {
+    slice.attempt += 1;
+    slice.runner_attempts += 1;
+    stats_.wire_retries += 1;
+    slice.send_seconds = WireClockSeconds();
+    common::CheckOk(transport->Send(slice.runner, BuildRequest(slice, response.wire_seq)),
+                    "wire send failed");
+    return;
+  }
+  if (!shard_down_[slice.runner]) {
+    shard_down_[slice.runner] = true;
+    stats_.shards_down += 1;
+  }
+  uint32_t survivor = 0;
+  if (!RouteShard(slice.origin_shard, &survivor)) {
+    inflight_.erase(it);
+    FailTransport(common::Status::Internal(
+        "detect transport failed permanently: every shard runner is down"));
+    return;
+  }
+  slice.runner = survivor;
+  slice.attempt += 1;
+  slice.runner_attempts = 0;  // Fresh retry budget on the new runner.
+  stats_.wire_requeues += 1;
+  slice.send_seconds = WireClockSeconds();
+  common::CheckOk(transport->Send(slice.runner, BuildRequest(slice, response.wire_seq)),
+                  "wire send failed");
+}
+
+void DetectorService::CompleteFlush(FlushId id) {
+  const auto node = shipped_.find(id);
+  common::Check(node != shipped_.end(), "completing an unknown flush");
+  const ShippedFlush& flush = node->second;
+  timing_.wire_seconds = std::max(timing_.wire_seconds,
+                                  flush.last_arrival_seconds - flush.shipped_seconds);
 
   // Bookkeeping, on the coordinator after every slice completed. Slice
   // boundaries are a pure function of the extracted queues, so the tallies
   // are deterministic whatever the execution order was.
-  for (const ShardWork& shard_work : work) {
-    BookSlices(shard_work.first, shard_work.second);
-  }
+  for (const ShardWork& shard_work : flush.work) BookSlices(shard_work.second);
 
-  // Completion: a request is done when its last frame — on any shard — has
-  // been detected; partial flushes leave it pending until then.
-  for (const ShardWork& shard_work : work) {
+  // Completion: a request is done when its last frame — on any shard, in
+  // any flush — has been detected; partial flushes leave it pending until
+  // then.
+  for (const ShardWork& shard_work : flush.work) {
     for (const WorkItem& entry : shard_work.second) {
       common::Check(entry.request->remaining > 0, "detect slot completed twice");
       entry.request->remaining -= 1;
     }
   }
-  const double now = NowSeconds();
-  for (const Ticket ticket : involved) {
+  const double now = WireClockSeconds();
+  for (const Ticket ticket : flush.involved) {
     const auto it = pending_.find(ticket);
     if (it == pending_.end() || it->second.remaining > 0) continue;
     if (ticket_latencies_.size() >= kTicketLatencyCap) {
@@ -244,6 +390,7 @@ void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
     ready_.emplace(ticket, std::move(it->second.results));
     pending_.erase(it);
   }
+  shipped_.erase(node);
 }
 
 void DetectorService::UnregisterSession(uint64_t session_id) {
@@ -253,8 +400,7 @@ void DetectorService::UnregisterSession(uint64_t session_id) {
   }
 }
 
-void DetectorService::BookSlices(uint32_t shard,
-                                 const std::vector<WorkItem>& entries) {
+void DetectorService::BookSlices(const std::vector<WorkItem>& entries) {
   std::vector<const PendingRequest*> in_slice;
   for (size_t begin = 0; begin < entries.size(); begin += options_.device_batch) {
     const size_t count = std::min(options_.device_batch, entries.size() - begin);
@@ -292,22 +438,6 @@ void DetectorService::BookSlices(uint32_t shard,
       }
     }
   }
-  // Per-session dispatcher stats: book each request's frames on this shard
-  // as one detected batch. A request's entries are contiguous and
-  // ticket-ascending (queues append per submit).
-  size_t i = 0;
-  while (i < entries.size()) {
-    const Ticket ticket = entries[i].ticket;
-    PendingRequest& pr = *entries[i].request;
-    size_t frames_on_shard = 0;
-    while (i < entries.size() && entries[i].ticket == ticket) {
-      ++frames_on_shard;
-      ++i;
-    }
-    if (pr.request.dispatcher != nullptr) {
-      pr.request.dispatcher->RecordServiceDetect(shard, frames_on_shard);
-    }
-  }
 }
 
 bool DetectorService::RouteShard(uint32_t origin, uint32_t* runner) const {
@@ -325,159 +455,22 @@ bool DetectorService::RouteShard(uint32_t origin, uint32_t* runner) const {
   return false;
 }
 
-void DetectorService::SendAndCollect(const std::vector<ShardWork>& work) {
-  ShardTransport* transport = options_.transport;
-  struct InFlightSlice {
-    uint32_t origin_shard = 0;
-    uint32_t runner = 0;
-    double send_seconds = 0.0;     // Wall clock at (re)send: round-trip stats.
-    uint32_t attempt = 0;          // Cumulative across runners (wire field).
-    uint32_t runner_attempts = 0;  // Failures on the *current* runner only:
-                                   // the retry budget is per runner, so a
-                                   // requeued batch gets a fresh budget on
-                                   // its survivor — one transient blip there
-                                   // must not cascade to marking it down.
-    std::vector<WorkItem> entries;
-  };
-  std::unordered_map<uint64_t, InFlightSlice> inflight;
-
-  const auto build_msg = [&](const InFlightSlice& slice, uint64_t seq) {
-    DetectRequestMsg msg;
-    msg.wire_seq = seq;
-    msg.origin_shard = slice.origin_shard;
-    msg.attempt = slice.attempt;
-    msg.repo_fingerprint = options_.repo_fingerprint;
-    msg.slots.reserve(slice.entries.size());
-    for (const WorkItem& entry : slice.entries) {
-      const PendingRequest& pr = *entry.request;
-      msg.slots.push_back(
-          WireSlot{pr.request.session_id, pr.request.frames[entry.frame_index]});
-    }
-    return msg;
-  };
-
-  // Ship every slice first — the runners work concurrently — then collect
-  // completions in whatever order they arrive; the wire sequence number
-  // matches each response back to its slice, and results land in fixed
-  // ticket slots, so arrival order is irrelevant to the trace.
-  bool all_down = false;
-  for (const ShardWork& shard_work : work) {
-    const uint32_t shard = shard_work.first;
-    const std::vector<WorkItem>& entries = shard_work.second;
-    for (size_t begin = 0; begin < entries.size() && !all_down;
-         begin += options_.device_batch) {
-      const size_t count = std::min(options_.device_batch, entries.size() - begin);
-      InFlightSlice slice;
-      slice.origin_shard = shard;
-      slice.entries.assign(entries.begin() + static_cast<ptrdiff_t>(begin),
-                           entries.begin() + static_cast<ptrdiff_t>(begin + count));
-      if (!RouteShard(shard, &slice.runner)) {
-        all_down = true;
-        break;
-      }
-      const uint64_t seq = next_wire_seq_++;
-      slice.send_seconds = NowSeconds();
-      common::CheckOk(transport->Send(slice.runner, build_msg(slice, seq)),
-                      "wire send failed");
-      stats_.wire_batches += 1;
-      stats::SlabAdd(stats_binding_.slab, stats_binding_.wire_batches);
-      // Proactive reroute off a runner already known to be down: still a
-      // first send, counted apart from failure-driven requeue resends.
-      if (slice.runner != slice.origin_shard) stats_.wire_reroutes += 1;
-      inflight.emplace(seq, std::move(slice));
-    }
-    if (all_down) break;
-  }
-
-  common::Status fatal;  // Non-availability failure: fail fast, by name.
-  while (!inflight.empty()) {
-    auto received = transport->Receive();
-    common::CheckOk(received.status(), "wire receive failed");
-    DetectResponseMsg response = std::move(received).value();
-    const auto it = inflight.find(response.wire_seq);
-    common::Check(it != inflight.end(), "wire response for an unknown batch");
-    InFlightSlice& slice = it->second;
-
-    if (response.status == WireStatus::kOk) {
-      common::Check(response.detections.size() == slice.entries.size(),
-                    "wire response slot count mismatch");
-      // One transport round-trip, (re)send to completed response. Retried
-      // batches time from their last send — the round trip the wire actually
-      // served, not the cumulative wait.
-      stats::TimerRecord(stats_binding_.timer, stats::Stage::kTransport,
-                         NowSeconds() - slice.send_seconds);
-      for (size_t i = 0; i < slice.entries.size(); ++i) {
-        slice.entries[i].request->results[slice.entries[i].frame_index] =
-            std::move(response.detections[i]);
-      }
-      stats_.wire_charged_seconds += response.charged_seconds;
-      inflight.erase(it);
-      continue;
-    }
-
-    // A repository mismatch is a deployment error, not an availability one:
-    // every runner of the mis-deployed fleet would reject the same batch, so
-    // requeuing it around — marking healthy runners down on the way — would
-    // only bury the real diagnosis under "every runner failed". Fail fast,
-    // by name.
-    if (response.status == WireStatus::kRepoMismatch && fatal.ok()) {
-      fatal = common::Status::FailedPrecondition(
-          "shard runner rejected the batch: repository fingerprint mismatch "
-          "(coordinator and runners serve different repositories)");
-    }
-
-    if (all_down || !fatal.ok()) {
-      // Draining mode: the flush already failed; just consume what is still
-      // in flight so the transport ends empty.
-      inflight.erase(it);
-      continue;
-    }
-
-    // Unavailability (the only failure reaching here): retried in place;
-    // exhausted retries mark the runner down and requeue the batch onto a
-    // surviving shard's runner. `origin_shard` never changes, so the
-    // surviving runner resolves the *same* session/shard detector contexts
-    // — detections, and the session's per-shard charged seconds, are
-    // identical to the no-failure run.
-    if (slice.runner_attempts < options_.max_retries) {
-      slice.attempt += 1;
-      slice.runner_attempts += 1;
-      stats_.wire_retries += 1;
-      slice.send_seconds = NowSeconds();
-      common::CheckOk(transport->Send(slice.runner, build_msg(slice, response.wire_seq)),
-                      "wire send failed");
-      continue;
-    }
-    if (!shard_down_[slice.runner]) {
-      shard_down_[slice.runner] = true;
-      stats_.shards_down += 1;
-    }
-    uint32_t survivor = 0;
-    if (!RouteShard(slice.origin_shard, &survivor)) {
-      all_down = true;
-      inflight.erase(it);
-      continue;
-    }
-    slice.runner = survivor;
-    slice.attempt += 1;
-    slice.runner_attempts = 0;  // Fresh retry budget on the new runner.
-    stats_.wire_requeues += 1;
-    slice.send_seconds = NowSeconds();
-    common::CheckOk(transport->Send(slice.runner, build_msg(slice, response.wire_seq)),
-                    "wire send failed");
-  }
-
-  if (!fatal.ok()) {
-    transport_status_ = fatal;
-    CancelPending();
-  } else if (all_down) {
-    transport_status_ = common::Status::Internal(
-        "detect transport failed permanently: every shard runner is down");
-    CancelPending();
-  }
+void DetectorService::FailTransport(common::Status status) {
+  if (transport_status_.ok()) transport_status_ = std::move(status);
+  CancelPending();
 }
 
 void DetectorService::CancelPending() {
+  // Slices still on the wire reference the requests dropped below, and their
+  // runners may be running the sessions' detectors right now: receive (and
+  // discard) every outstanding response first, so the transport ends empty
+  // and nothing executes for an abandoned workload once this returns.
+  while (!inflight_.empty()) {
+    auto received = options_.transport->Receive();
+    common::CheckOk(received.status(), "wire receive failed");
+    inflight_.erase(received.value().response.wire_seq);
+  }
+  shipped_.clear();
   pending_.clear();
   for (auto& queue : queues_) queue.clear();
   pending_frames_ = 0;

@@ -105,7 +105,7 @@ struct DetectorServiceStats {
   uint64_t device_batches = 0;
   /// Of those, batches holding frames of at least two sessions.
   uint64_t shared_batches = 0;
-  /// `Flush` calls that found work.
+  /// Barrier flushes (`Flush` or `Ship`) that found work.
   uint64_t flushes = 0;
   /// Latency-aware partial flushes: triggered by a full wire batch at
   /// `Submit`, and by the deadline check in `Poll`.
@@ -161,8 +161,20 @@ struct DetectorServiceStats {
 /// The decode-ahead seam moves with the detect stage: a request's prefetcher
 /// keeps decoding on the I/O pools from submit time until the flush that
 /// consumes the request — the decode window spans the coalesce window.
-/// Every flush drains the prefetchers of the requests it executes, in ticket
-/// order, before any detection runs.
+/// Every flush drains the prefetchers of the requests *it* executes, in
+/// ticket order, before any of its slices is sent. A pipelined driver ships
+/// each half-wave as its own flush, so the rule holds per half-wave: a
+/// half-wave is fully decoded before it goes on the wire, while the other
+/// half-wave may still be decoding or on the wire itself.
+///
+/// **Ship and collect.** `Flush` is `Ship` (drain, then send every slice
+/// without waiting) followed by collecting every outstanding flush. Drivers
+/// that have work to do while a flush is on the wire call the halves
+/// themselves: `Ship` returns a `FlushId`, `Collect` blocks until that flush
+/// completed. Two flushes' slices — and their retries and requeues — can be
+/// outstanding at once; responses are matched to slices by wire sequence
+/// number whichever flush they belong to, and a flush's requests become
+/// ready (`Take`) when its last slice lands.
 ///
 /// **Transport boundary.** The per-shard queues are the distribution seam:
 /// every sliced device batch crosses the `ShardTransport` in
@@ -176,12 +188,26 @@ struct DetectorServiceStats {
 /// (`transport_status()`) and `CancelPending` releases whatever could not
 /// complete, so the driver can surface the error instead of hanging.
 ///
-/// One coordinator thread drives the service (Submit/Poll/Flush/Take); only
-/// the transport's shard runners and their per-frame detect fan-out run
-/// elsewhere.
+/// One coordinator thread drives the service (Submit/Poll/Ship/Collect/
+/// Flush/Take); only the transport's shard runners and their per-frame
+/// detect fan-out run elsewhere.
 class DetectorService {
  public:
   using Ticket = uint64_t;
+  /// Handle of one shipped flush (`Ship`); 0 names no flush.
+  using FlushId = uint64_t;
+
+  /// \brief Wall-clock split of the flushes since the last
+  /// `TakeFlushTiming`: what a pipelined driver weighs to decide whether
+  /// splitting a round into two half-waves pays.
+  struct FlushTiming {
+    /// Coordinator seconds spent in the prefetcher drains of shipped
+    /// flushes — the decode wall the wire could hide behind.
+    double decode_seconds = 0.0;
+    /// Longest wire round trip of a completed flush: its last slice's
+    /// arrival minus the end of its sends.
+    double wire_seconds = 0.0;
+  };
 
   /// One session's pending detect work. Spans must stay valid until the
   /// request's results are taken; the pointees must outlive the flush.
@@ -209,10 +235,8 @@ class DetectorService {
     /// pure function of ground truth + options), where the in-process
     /// transports resolve the pointers above.
     detect::DetectorOptions detector_options;
-    /// The session's shard dispatcher: per-shard detectors + stats. When
-    /// set, each frame is detected by `dispatcher->Context(shard).detector`
-    /// and the detected frames are booked into the dispatcher's per-shard
-    /// stats.
+    /// The session's shard dispatcher. When set, each frame is detected by
+    /// `dispatcher->Context(shard).detector`.
     ShardDispatcher* dispatcher = nullptr;
     /// The session's decode prefetcher; drained (in ticket order) before a
     /// flush detects anything of this request. Null when the session does
@@ -240,8 +264,29 @@ class DetectorService {
 
   /// \brief Executes everything pending as coalesced per-shard device
   /// batches and makes every submitted request's results available to
-  /// `Take`. No-op when nothing is pending.
+  /// `Take`: `Ship`, then collect every outstanding flush. No-op when
+  /// nothing is pending or in flight.
   void Flush();
+
+  /// \brief The first half of `Flush`: extracts everything queued, drains
+  /// the prefetchers of the requests it holds, and sends every slice
+  /// without waiting for a response. Returns the flush's id for `Collect`,
+  /// or 0 when nothing was queued (or the transport failed).
+  FlushId Ship();
+
+  /// \brief Blocks until flush `flush` completed, handling the responses
+  /// of any other outstanding flush as they arrive. Requests whose last
+  /// frame was in a completed flush are ready afterwards. No-op for 0 or a
+  /// flush that already completed; returns early on permanent transport
+  /// failure (check `transport_status()`).
+  void Collect(FlushId flush);
+
+  /// \brief Shipped flushes not yet completed.
+  size_t FlushesInFlight() const { return shipped_.size(); }
+
+  /// \brief Returns the timing accumulated since the previous call, and
+  /// resets it.
+  FlushTiming TakeFlushTiming();
 
   /// \brief True when `ticket` has been flushed and its results are waiting.
   bool Ready(Ticket ticket) const;
@@ -260,9 +305,11 @@ class DetectorService {
   /// \brief Abandons the whole workload: drops every queued and in-flight
   /// request (their spans are released; their tickets will never become
   /// ready) **and** every completed-but-untaken result — after a cancel,
-  /// `Take` is fatal for any outstanding ticket. Called internally on
-  /// permanent transport failure; drivers call it when abandoning a
-  /// workload mid-step so the service holds no stale spans.
+  /// `Take` is fatal for any outstanding ticket. Slices still on the wire
+  /// are received (and discarded) first, so no runner is executing a
+  /// session's detector once this returns. Called internally on permanent
+  /// transport failure; drivers call it when abandoning a workload mid-step
+  /// so the service holds no stale spans.
   void CancelPending();
 
   /// \brief Frames currently queued and not yet flushed.
@@ -329,22 +376,54 @@ class DetectorService {
   using ShardWork = std::pair<uint32_t, std::vector<WorkItem>>;
   enum class FlushReason { kBarrier, kFill, kDeadline };
 
-  /// Extracts and executes work from the named shard queues: the full queue
-  /// per shard, or only whole `device_batch` slices (`only_full_slices`,
-  /// the fill trigger — a partial tail keeps waiting). Runs prefetcher
-  /// drains, execution over the transport, slice bookkeeping, and request
-  /// completion.
-  void FlushShards(const std::vector<uint32_t>& shards, bool only_full_slices,
-                   FlushReason reason);
+  /// One wire batch on the wire: a slice of one shard's extracted queue.
+  struct InFlightSlice {
+    FlushId flush = 0;
+    uint32_t origin_shard = 0;
+    uint32_t runner = 0;
+    double send_seconds = 0.0;     // Wall clock at (re)send: round-trip stats.
+    uint32_t attempt = 0;          // Cumulative across runners (wire field).
+    uint32_t runner_attempts = 0;  // Failures on the *current* runner only:
+                                   // the retry budget is per runner, so a
+                                   // requeued batch gets a fresh budget on
+                                   // its survivor — one transient blip there
+                                   // must not cascade to marking it down.
+    std::vector<WorkItem> entries;
+  };
+  /// One shipped flush: its extracted work (for bookkeeping once every
+  /// slice landed) and the slices still outstanding.
+  struct ShippedFlush {
+    std::vector<ShardWork> work;
+    std::vector<Ticket> involved;  // Distinct tickets, ascending.
+    size_t outstanding = 0;
+    double shipped_seconds = 0.0;       // Wall clock after the last send.
+    double last_arrival_seconds = 0.0;  // Latest slice arrival so far.
+  };
 
-  /// Executes all extracted entries: sends every slice as a wire batch,
-  /// receives completions in arrival order, retries/requeues failures. Sets
-  /// `transport_status_` (and cancels everything pending) on permanent
-  /// failure.
-  void SendAndCollect(const std::vector<ShardWork>& work);
+  /// Extracts and ships work from the named shard queues: the full queue
+  /// per shard, or only whole `device_batch` slices (`only_full_slices`,
+  /// the fill trigger — a partial tail keeps waiting). Drains the
+  /// prefetchers of the requests it extracted, then sends every slice.
+  /// Returns the flush's id (0 when nothing was extracted or the transport
+  /// failed).
+  FlushId ShipShards(const std::vector<uint32_t>& shards, bool only_full_slices,
+                     FlushReason reason);
+
+  /// Receives one completion and handles it: scatters a served slice's
+  /// detections (completing its flush with the last one), retries or
+  /// requeues a failed one, or fails the transport permanently.
+  void ReceiveOne();
+
+  /// Bookkeeping and request completion of a flush whose slices all landed.
+  void CompleteFlush(FlushId flush);
+
+  /// Sticky permanent failure: records `status` and cancels everything.
+  void FailTransport(common::Status status);
+
+  DetectRequestMsg BuildRequest(const InFlightSlice& slice, uint64_t wire_seq) const;
 
   /// Deterministic per-slice bookkeeping, after a shard's slices completed.
-  void BookSlices(uint32_t shard, const std::vector<WorkItem>& entries);
+  void BookSlices(const std::vector<WorkItem>& entries);
 
   /// Picks the runner for `origin`'s batches: `origin` itself while its
   /// runner is up, else the next surviving shard. Returns false — leaving
@@ -358,6 +437,10 @@ class DetectorService {
   size_t pending_frames_ = 0;
   Ticket next_ticket_ = 1;
   uint64_t next_wire_seq_ = 1;
+  FlushId next_flush_ = 1;
+  std::unordered_map<uint64_t, InFlightSlice> inflight_;  // By wire seq.
+  std::map<FlushId, ShippedFlush> shipped_;                // Ship order.
+  FlushTiming timing_;
   std::unordered_map<Ticket, std::vector<detect::Detections>> ready_;
   std::vector<bool> shard_down_;       // Runners marked permanently failed.
   common::Status transport_status_;    // Sticky; OK while the fleet serves.

@@ -108,6 +108,15 @@ class SessionScheduler {
 
   /// \brief Scheduler name for reports.
   virtual const char* name() const = 0;
+
+  /// \brief True when `PlanRound` reads nothing of a session but `done`. A
+  /// driver may then plan a round while some sessions still have a step in
+  /// flight: their other tallies are one step stale, which such a plan
+  /// ignores, and a session that turns out done once its step finishes is
+  /// skipped at its grant — the grants are those of a plan made after the
+  /// step. That is what lets `RunConcurrent` keep a half-wave on the wire
+  /// across the round boundary.
+  virtual bool PlansOnDoneOnly() const { return false; }
 };
 
 /// \brief The baseline: every live session exactly once per round, in index
@@ -118,6 +127,7 @@ class FairScheduler : public SessionScheduler {
   void PlanRound(common::Span<const SessionSchedulerInfo> sessions,
                  std::vector<size_t>* order) override;
   const char* name() const override { return "fair"; }
+  bool PlansOnDoneOnly() const override { return true; }
 };
 
 /// \brief Marginal-result-rate priority, Thompson-style.

@@ -16,22 +16,12 @@ ShardDispatcher::ShardDispatcher(const video::ShardedRepository* repo,
                   "non-empty shard needs a detector context");
     if (contexts_[s].store == nullptr) has_stores_ = false;
   }
-  stats_.resize(contexts_.size());
 }
 
 uint32_t ShardDispatcher::ShardOfFrame(video::FrameId frame) const {
   auto shard = repo_->ShardOfFrame(frame);
   common::CheckOk(shard.status(), "picked frame outside the sharded repository");
   return shard.value();
-}
-
-void ShardDispatcher::RecordServiceDetect(uint32_t shard, size_t frames) {
-  common::Check(shard < contexts_.size() && contexts_[shard].detector != nullptr,
-                "no detector context for shard");
-  stats_[shard].frames_detected += frames;
-  stats_[shard].batches += 1;
-  stats_[shard].detect_seconds +=
-      static_cast<double>(frames) * contexts_[shard].detector->SecondsPerFrame();
 }
 
 double ShardDispatcher::SecondsPerFrame(uint32_t shard) const {
@@ -46,8 +36,6 @@ video::ReadPlan ShardDispatcher::PlanDecode(video::FrameId frame, uint32_t shard
   common::Check(store != nullptr, "shard has no decode store");
   auto plan = store->PlanRead(frame);
   common::CheckOk(plan.status(), "sharded decode failed");
-  stats_[shard].frames_decoded += 1;
-  stats_[shard].decode_seconds += plan.value().seconds;
   return plan.value();
 }
 

@@ -37,23 +37,15 @@ struct ShardContext {
   common::ThreadPool* io_pool = nullptr;
 };
 
-/// \brief Per-shard execution tallies.
-struct ShardStats {
-  uint64_t frames_detected = 0;
-  uint64_t batches = 0;
-  uint64_t frames_decoded = 0;
-  double detect_seconds = 0.0;  ///< Simulated detector seconds charged.
-  double decode_seconds = 0.0;  ///< Simulated decode seconds charged.
-};
-
 /// \brief One session's view of a sharded repository: which shard owns each
-/// picked frame, the per-shard contexts that serve it, and per-shard tallies.
+/// picked frame and the per-shard contexts that serve it.
 ///
 /// The dispatcher executes no detection itself. A sharded session submits
 /// its batch to the shared `DetectorService` with each frame's owner
-/// (`ShardOfFrame`); the service queues frames per shard, runs them through
-/// `Context(shard).detector` on the shard's transport runner, and books them
-/// back here (`RecordServiceDetect`). Decode is routed per shard through
+/// (`ShardOfFrame`); the service queues frames per shard and runs them
+/// through `Context(shard).detector` on the shard's transport runner.
+/// Per-shard cost lands in the session's shard trace parts
+/// (`QuerySession::ShardParts`). Decode is routed per shard through
 /// `PlanDecode` when every shard has a store. Results land in fixed batch
 /// slots and detectors are per-frame deterministic, so shard routing never
 /// reorders what the discriminator observes.
@@ -74,28 +66,22 @@ class ShardDispatcher {
   /// \brief Simulated per-frame detector cost of one shard.
   double SecondsPerFrame(uint32_t shard) const;
 
-  /// \brief Books `frames` of this session detected on `shard` by the shared
-  /// `DetectorService` into `Stats()`, counted as one batch.
-  void RecordServiceDetect(uint32_t shard, size_t frames);
-
   /// \brief True when every non-empty shard has a decode store (decode is
   /// then routed per shard instead of through the query-global store).
   bool HasStores() const { return has_stores_; }
 
   /// \brief Plans the decode of `frame` on `shard`'s store (which must be
   /// the frame's owner, as `ShardOfFrame` reports; advancing that shard's
-  /// sequential position) and books the charge into `Stats()`, without
-  /// performing the decode work. The prefetcher calls this in batch order and
-  /// later performs the plan on the shard's I/O pool. Requires `HasStores()`.
+  /// sequential position), without performing the decode work. The
+  /// prefetcher calls this in batch order and later performs the plan on the
+  /// shard's I/O pool. Requires `HasStores()`.
   video::ReadPlan PlanDecode(video::FrameId frame, uint32_t shard);
 
   const ShardContext& Context(uint32_t shard) const { return contexts_[shard]; }
-  const std::vector<ShardStats>& Stats() const { return stats_; }
 
  private:
   const video::ShardedRepository* repo_;
   std::vector<ShardContext> contexts_;
-  std::vector<ShardStats> stats_;
   bool has_stores_ = false;
 };
 

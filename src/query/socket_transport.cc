@@ -261,7 +261,7 @@ void SocketTransport::SynthesizeFailureLocked(uint64_t wire_seq,
   response.origin_shard = entry.origin_shard;
   response.attempt = entry.attempt;
   response.status = WireStatus::kUnavailable;
-  completed_.push_back(std::move(response));
+  completed_.push_back(WireCompletion{std::move(response), WireClockSeconds()});
   ++stats_.inferred_failures;
 }
 
@@ -375,14 +375,14 @@ common::Status SocketTransport::Send(uint32_t runner_shard,
   return common::Status::OK();
 }
 
-common::Result<DetectResponseMsg> SocketTransport::Receive() {
+common::Result<WireCompletion> SocketTransport::Receive() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (!completed_.empty()) {
-      DetectResponseMsg response = std::move(completed_.front());
+      WireCompletion completion = std::move(completed_.front());
       completed_.pop_front();
       ++stats_.responses;
-      return response;
+      return completion;
     }
     if (inflight_.empty()) {
       return common::Status::FailedPrecondition("no wire batch in flight");
@@ -436,7 +436,8 @@ bool SocketTransport::DispatchFrameLocked(uint32_t shard,
         return true;
       }
       stats_.bytes_received += frame.size();
-      completed_.push_back(std::move(response).value());
+      completed_.push_back(
+          WireCompletion{std::move(response).value(), WireClockSeconds()});
       inflight_.erase(it);
       cv_.notify_all();
       return true;

@@ -110,7 +110,8 @@ class SocketTransport : public ShardTransport {
   void UnregisterSession(uint64_t session_id) override;
   common::Status Send(uint32_t runner_shard,
                       const DetectRequestMsg& request) override;
-  common::Result<DetectResponseMsg> Receive() override;
+  common::Result<WireCompletion> Receive() override;
+  bool Asynchronous() const override { return true; }
   size_t InFlight() const override;
   TransportStats Stats() const override;
 
@@ -176,7 +177,7 @@ class SocketTransport : public ShardTransport {
   /// reuses the sequence number with a bumped attempt, so the attempt echo
   /// distinguishes the live attempt from a late predecessor.
   std::unordered_map<uint64_t, InFlightEntry> inflight_;
-  std::deque<DetectResponseMsg> completed_;
+  std::deque<WireCompletion> completed_;
   TransportStats stats_;
 };
 

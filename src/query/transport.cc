@@ -145,19 +145,22 @@ common::Status LocalTransport::Send(uint32_t runner_shard,
   }
   common::ThreadPool* pool =
       pools_[runner_shard] != nullptr ? pools_[runner_shard] : default_pool_;
-  completed_.push_back(ExecuteWireRequest(request, *resolver_, pool));
+  WireCompletion completion;
+  completion.response = ExecuteWireRequest(request, *resolver_, pool);
+  completion.arrived_seconds = WireClockSeconds();
+  completed_.push_back(std::move(completion));
   stats_.requests += 1;
   return common::Status::OK();
 }
 
-common::Result<DetectResponseMsg> LocalTransport::Receive() {
+common::Result<WireCompletion> LocalTransport::Receive() {
   if (completed_.empty()) {
     return common::Status::FailedPrecondition("no wire batch in flight");
   }
-  DetectResponseMsg response = std::move(completed_.front());
+  WireCompletion completion = std::move(completed_.front());
   completed_.pop_front();
   stats_.responses += 1;
-  return response;
+  return completion;
 }
 
 // --- LoopbackTransport ------------------------------------------------------
@@ -176,16 +179,17 @@ void LoopbackTransport::SpillQueue::Push(std::vector<uint8_t> bytes) {
   // Once anything spilled, later messages follow it through the overflow
   // until a consumer drains it — keeps per-queue FIFO order cheap (one
   // relaxed load on the fast path).
+  Frame frame{std::move(bytes), WireClockSeconds()};
   if (overflow_size.load(std::memory_order_acquire) == 0 &&
-      ring.TryPush(std::move(bytes))) {
+      ring.TryPush(std::move(frame))) {
     return;
   }
   std::lock_guard<std::mutex> lock(overflow_mu);
-  overflow.push_back(std::move(bytes));
+  overflow.push_back(std::move(frame));
   overflow_size.fetch_add(1, std::memory_order_release);
 }
 
-bool LoopbackTransport::SpillQueue::TryPop(std::vector<uint8_t>& out) {
+bool LoopbackTransport::SpillQueue::TryPop(Frame& out) {
   if (ring.TryPop(out)) return true;
   if (overflow_size.load(std::memory_order_acquire) == 0) return false;
   std::lock_guard<std::mutex> lock(overflow_mu);
@@ -286,44 +290,46 @@ common::Status LoopbackTransport::Send(uint32_t runner_shard,
   return common::Status::OK();
 }
 
-common::Result<DetectResponseMsg> LoopbackTransport::Receive() {
+common::Result<WireCompletion> LoopbackTransport::Receive() {
   if (in_flight_ == 0) {
     return common::Status::FailedPrecondition("no wire batch in flight");
   }
   // A response is guaranteed to arrive (in_flight_ > 0 and runners answer
   // everything they accept): spin briefly, then park.
-  std::vector<uint8_t> bytes;
+  Frame frame;
   int idle_spins = 0;
-  while (!outbox_.TryPop(bytes)) {
+  while (!outbox_.TryPop(frame)) {
     if (++idle_spins < common::Parker::kSpinIterations) {
       std::this_thread::yield();
       continue;
     }
     idle_spins = 0;
     common::Parker::WaitGuard guard(out_parker_);
-    if (outbox_.TryPop(bytes)) break;
+    if (outbox_.TryPop(frame)) break;
     guard.Wait();
   }
   in_flight_ -= 1;
   stats_.responses += 1;
-  stats_.bytes_received += bytes.size();
-  auto response =
-      ParseDetectResponse(common::Span<const uint8_t>(bytes.data(), bytes.size()));
+  stats_.bytes_received += frame.bytes.size();
+  auto response = ParseDetectResponse(
+      common::Span<const uint8_t>(frame.bytes.data(), frame.bytes.size()));
   // In-process, an unparseable response is a wire-format bug, not weather.
   common::CheckOk(response.status(), "loopback response failed to parse");
   if (response.value().status != WireStatus::kOk) {
     // Every loopback failure is an injected one.
     stats_.failures_injected += 1;
   }
-  return response;
+  // The runner stamped the push: that is when the response reached the
+  // coordinator's side, however long the coordinator took to come for it.
+  return WireCompletion{std::move(response).value(), frame.pushed_seconds};
 }
 
 void LoopbackTransport::RunnerLoop(uint32_t shard) {
   Runner& runner = *runners_[shard];
   int idle_spins = 0;
   while (true) {
-    std::vector<uint8_t> bytes;
-    while (!runner.inbox.TryPop(bytes)) {
+    Frame inbound;
+    while (!runner.inbox.TryPop(inbound)) {
       // Drain before exiting: a request accepted by Send is always answered,
       // so the coordinator can never block forever in Receive.
       if (runner.stop.load(std::memory_order_seq_cst)) return;
@@ -344,7 +350,8 @@ void LoopbackTransport::RunnerLoop(uint32_t shard) {
     // One envelope, many kinds: control frames and detect batches share the
     // inbox, dispatched by the framed header — exactly what a socket server
     // does with the same helpers.
-    const common::Span<const uint8_t> frame(bytes.data(), bytes.size());
+    const common::Span<const uint8_t> frame(inbound.bytes.data(),
+                                            inbound.bytes.size());
     auto kind = PeekWireKind(frame);
     common::CheckOk(kind.status(), "loopback frame failed to parse");
     if (kind.value() == WireKind::kRegisterSession) {
@@ -402,8 +409,7 @@ void LoopbackTransport::RunnerLoop(uint32_t shard) {
                    options_.reorder_jitter_seconds);
     }
 
-    std::vector<uint8_t> out_bytes = SerializeDetectResponse(response);
-    outbox_.Push(std::move(out_bytes));
+    outbox_.Push(SerializeDetectResponse(response));
     out_parker_.WakeOne();  // Syscall only if the coordinator parked.
   }
 }

@@ -2,6 +2,7 @@
 #define EXSAMPLE_QUERY_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -112,6 +113,27 @@ struct TransportStats {
   uint64_t late_responses_dropped = 0;
 };
 
+/// \brief The clock of the detect path's wall-time measurements: steady
+/// seconds. Transports stamp arrivals with it and the `DetectorService` times
+/// sends, flushes, and tickets with it, so the differences are round trips.
+/// Wall clock never feeds a trace — simulated seconds do.
+inline double WireClockSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// \brief One completed wire batch as `ShardTransport::Receive` returns it.
+struct WireCompletion {
+  DetectResponseMsg response;
+  /// `WireClockSeconds()` when the response reached the coordinator's side
+  /// of the transport — the end of its round trip. It can precede the
+  /// `Receive` call by however long the coordinator was busy elsewhere (a
+  /// pipelined driver decodes the next half-wave while this one is on the
+  /// wire), so round-trip statistics use it, not the time of the call.
+  double arrived_seconds = 0.0;
+};
+
 /// \brief The transport boundary between the `DetectorService`'s per-shard
 /// queues and the shard runners that execute them.
 ///
@@ -170,8 +192,16 @@ class ShardTransport {
                               const DetectRequestMsg& request) = 0;
 
   /// \brief Blocks until a previously sent batch completes and returns its
-  /// response. `FailedPrecondition` when nothing is in flight.
-  virtual common::Result<DetectResponseMsg> Receive() = 0;
+  /// response with its arrival time. `FailedPrecondition` when nothing is in
+  /// flight.
+  virtual common::Result<WireCompletion> Receive() = 0;
+
+  /// \brief True when batches execute off the calling thread, so `Send`
+  /// returns before the batch is done and the coordinator can work while it
+  /// is on the wire — what a pipelined driver needs for shipping one
+  /// half-wave while decoding the next. False (the default) when `Send`
+  /// executes the batch inline.
+  virtual bool Asynchronous() const { return false; }
 
   /// \brief Batches sent but not yet received.
   virtual size_t InFlight() const = 0;
@@ -224,7 +254,7 @@ class LocalTransport : public ShardTransport {
   void UnregisterSession(uint64_t session_id) override;
   common::Status Send(uint32_t runner_shard,
                       const DetectRequestMsg& request) override;
-  common::Result<DetectResponseMsg> Receive() override;
+  common::Result<WireCompletion> Receive() override;
   size_t InFlight() const override { return completed_.size(); }
   TransportStats Stats() const override { return stats_; }
 
@@ -236,7 +266,7 @@ class LocalTransport : public ShardTransport {
   std::unordered_set<uint64_t> registered_sessions_;
   std::vector<common::ThreadPool*> pools_;  // Per shard; may hold nulls.
   common::ThreadPool* default_pool_ = nullptr;
-  std::deque<DetectResponseMsg> completed_;
+  std::deque<WireCompletion> completed_;
   TransportStats stats_;
 };
 
@@ -317,7 +347,8 @@ class LoopbackTransport : public ShardTransport {
   void UnregisterSession(uint64_t session_id) override;
   common::Status Send(uint32_t runner_shard,
                       const DetectRequestMsg& request) override;
-  common::Result<DetectResponseMsg> Receive() override;
+  common::Result<WireCompletion> Receive() override;
+  bool Asynchronous() const override { return true; }
   size_t InFlight() const override { return in_flight_; }
   TransportStats Stats() const override { return stats_; }
 
@@ -325,7 +356,13 @@ class LoopbackTransport : public ShardTransport {
   const LoopbackTransportOptions& options() const { return options_; }
 
  private:
-  using ByteRing = common::MpscRingBuffer<std::vector<uint8_t>>;
+  /// One serialized message on a queue, stamped (`WireClockSeconds`) when
+  /// it was pushed — for a response, its arrival at the coordinator's side.
+  struct Frame {
+    std::vector<uint8_t> bytes;
+    double pushed_seconds = 0.0;
+  };
+  using FrameRing = common::MpscRingBuffer<Frame>;
 
   /// A bounded ring plus its overflow spill — the two together behave like
   /// the old unbounded deque, with the lock confined to the (rare) spill.
@@ -333,12 +370,12 @@ class LoopbackTransport : public ShardTransport {
     explicit SpillQueue(size_t ring_capacity) : ring(ring_capacity) {}
 
     void Push(std::vector<uint8_t> bytes);
-    bool TryPop(std::vector<uint8_t>& out);
+    bool TryPop(Frame& out);
     bool Empty() const;
 
-    ByteRing ring;
+    FrameRing ring;
     std::mutex overflow_mu;
-    std::deque<std::vector<uint8_t>> overflow;
+    std::deque<Frame> overflow;
     std::atomic<size_t> overflow_size{0};
   };
 

@@ -126,6 +126,10 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
   });
 
   const auto shed_session = [&](Admitted* a, const common::Status& why) {
+    // Rounds end with `FlushWave`: the tenant loop plans, sheds and charges
+    // on every session's tallies at the boundary, so it never leaves a
+    // half-wave on the wire across it.
+    common::Check(!driver.InFlight(), "shedding a session with a step in flight");
     a->session->Cancel();
     QueryOutcome& outcome = outcomes[a->query_index];
     outcome.kind = OutcomeKind::kShed;

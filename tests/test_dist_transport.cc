@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "query/transport.h"
 #include "query/wire.h"
 #include "scene/generator.h"
+#include "serve/serving.h"
 #include "testutil/shardd_harness.h"
 
 namespace exsample {
@@ -344,6 +346,277 @@ TEST(DistTransportTest, FullPipelineLoopbackMatchesLocal) {
   EXPECT_GT(loopback.shard_transport()->Stats().bytes_sent, 0u);
 }
 
+// --- Pipelined rounds: two half-waves in flight ------------------------------
+//
+// With an asynchronous transport and a decode wall longer than the wire round
+// trip, RunConcurrent splits each round into two half-waves: one decodes
+// while the other is on the wire, and the second half-wave of a round stays
+// on the wire while the next round is planned and begun. These tests run
+// that schedule over loopback with simulated, prefetched decode and check it
+// never changes a trace, recovers from failures, fails cleanly, and stays
+// off where it cannot pay.
+
+/// Loopback with simulated decode that sleeps: each read takes long enough
+/// (~0.1 ms per frame) that a round's decode wall exceeds the wire round
+/// trip, so rounds of two or more sessions split.
+EngineConfig PipelinedConfig() {
+  EngineConfig config = OracleConfig();
+  config.coalesce_detect = true;
+  config.device_batch = 16;
+  config.transport = TransportKind::kLoopback;
+  config.loopback.latency_seconds = 0.0001;
+  config.loopback.reorder_jitter_seconds = 0.0001;
+  config.simulate_decode = true;
+  config.decode_cost.wall_clock_scale = 0.004;
+  config.prefetch_depth = 4;
+  config.io_threads = 2;
+  return config;
+}
+
+/// The solo reference for a `PipelinedConfig` engine: in process, one
+/// session at a time, the same decode pricing without sleeping.
+EngineConfig PipelinedReferenceConfig() {
+  EngineConfig config = PipelinedConfig();
+  config.coalesce_detect = false;
+  config.transport = TransportKind::kLocal;
+  config.prefetch_depth = 0;
+  config.io_threads = 0;
+  config.decode_cost.wall_clock_scale = 0.0;
+  return config;
+}
+
+/// `sessions` queries of one method whose limits differ, so sessions finish
+/// at different rounds and the rounds shrink (and stop splitting) over time.
+std::vector<QuerySpec> StaggeredSpecs(Method method, size_t sessions) {
+  std::vector<QuerySpec> specs;
+  for (size_t k = 0; k < sessions; ++k) {
+    QuerySpec spec;
+    spec.class_id = 0;
+    spec.limit = 4 + 2 * k;
+    spec.options.method = method;
+    spec.options.batch_size = 4;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+/// Counts the scheduler rounds of a fair RunConcurrent from its observer:
+/// within a round steps finish in ascending session order, so a round
+/// begins wherever the finished index does not increase.
+struct RoundCounter {
+  size_t rounds = 0;
+  size_t last = 0;
+  bool any = false;
+
+  void Step(size_t idx) {
+    if (!any || idx <= last) ++rounds;
+    last = idx;
+    any = true;
+  }
+};
+
+void ExpectMatchesSolo(SearchEngine& reference, const std::vector<QuerySpec>& specs,
+                       const std::vector<query::QueryTrace>& traces,
+                       const std::string& what) {
+  ASSERT_EQ(traces.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto solo = reference.FindDistinct(specs[i].class_id, specs[i].limit,
+                                       specs[i].options);
+    ASSERT_TRUE(solo.ok());
+    ExpectSameTrace(solo.value(), traces[i],
+                    what + ": " + MethodName(specs[i].options.method) +
+                        " session " + std::to_string(i));
+  }
+}
+
+class PipelinedRoundsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PipelinedRoundsTest, AllMethodsAndSessionCountsMatchSoloRuns) {
+  const size_t num_shards = GetParam();
+  auto fx = DistFixture::Make(num_shards);
+  SearchEngine reference = MakeEngine(*fx, num_shards, PipelinedReferenceConfig());
+
+  uint64_t split_runs = 0;
+  for (const size_t sessions : {1, 2, 3, 8}) {
+    for (const Method method : kAllMethods) {
+      SearchEngine engine = MakeEngine(*fx, num_shards, PipelinedConfig());
+      const std::vector<QuerySpec> specs = StaggeredSpecs(method, sessions);
+      RoundCounter rounds;
+      auto result = engine.RunConcurrent(
+          specs, [&](size_t idx, const QuerySession&) { rounds.Step(idx); });
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::string what = std::to_string(num_shards) + " shards, " +
+                               std::to_string(sessions) + " sessions";
+      ExpectMatchesSolo(reference, specs, result.value(), what);
+
+      const query::DetectorService* service = engine.detector_service();
+      const uint64_t flushes = service->stats().flushes;
+      // A split round ships two flushes, an unsplit one a single flush.
+      EXPECT_GE(flushes, rounds.rounds) << what;
+      EXPECT_LE(flushes, 2 * rounds.rounds) << what;
+      // A single session never has anyone to overlap with.
+      if (sessions == 1) {
+        EXPECT_EQ(flushes, rounds.rounds) << what;
+      }
+      if (flushes > rounds.rounds) ++split_runs;
+      EXPECT_EQ(service->FlushesInFlight(), 0u) << what;
+      EXPECT_EQ(service->directory().NumSessions(), 0u) << what;
+      EXPECT_EQ(engine.shard_transport()->InFlight(), 0u) << what;
+    }
+  }
+  // Decode dominates the wire here, so multi-session rounds do split.
+  EXPECT_GT(split_runs, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, PipelinedRoundsTest,
+                         ::testing::Values(1, 2, 5),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return "shards_" + std::to_string(info.param);
+                         });
+
+TEST(PipelinedDriverTest, FailuresWithTwoHalfWavesInFlightRecover) {
+  const size_t num_shards = 5;
+  auto fx = DistFixture::Make(num_shards);
+  EngineConfig config = PipelinedConfig();
+  config.loopback.failure_rate = 0.05;
+  // Deep enough that transients never exhaust a live runner (split timing
+  // decides the wire sequence numbers the failure coins are keyed by).
+  config.transport_max_retries = 3;
+  config.loopback.fail_shard = 3;  // Dies after a few split rounds.
+  config.loopback.fail_after_requests = 4;
+  SearchEngine engine = MakeEngine(*fx, num_shards, config);
+  SearchEngine reference = MakeEngine(*fx, num_shards, PipelinedReferenceConfig());
+
+  std::vector<QuerySpec> specs;
+  for (const Method method : kAllMethods) {
+    for (QuerySpec spec : StaggeredSpecs(method, 2)) specs.push_back(spec);
+  }
+  // Evidence of overlap: steps finish while another flush is still on the
+  // wire.
+  size_t max_outstanding = 0;
+  RoundCounter rounds;
+  auto result = engine.RunConcurrent(specs, [&](size_t idx, const QuerySession&) {
+    rounds.Step(idx);
+    max_outstanding =
+        std::max(max_outstanding, engine.detector_service()->FlushesInFlight());
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectMatchesSolo(reference, specs, result.value(), "failures while pipelined");
+
+  const query::DetectorServiceStats& stats = engine.detector_service()->stats();
+  EXPECT_GT(stats.flushes, rounds.rounds) << "rounds must split";
+  EXPECT_GE(max_outstanding, 1u);
+  EXPECT_GT(stats.wire_retries, 0u);
+  EXPECT_GT(stats.wire_requeues, 0u);
+  EXPECT_EQ(stats.shards_down, 1u);
+  const query::TransportStats wire = engine.shard_transport()->Stats();
+  EXPECT_EQ(wire.requests,
+            stats.wire_batches + stats.wire_retries + stats.wire_requeues);
+  EXPECT_TRUE(engine.detector_service()->transport_status().ok());
+}
+
+TEST(PipelinedDriverTest, AllRunnersDownWithAHalfWaveInFlightFailsCleanly) {
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  EngineConfig config = PipelinedConfig();
+  config.transport_max_retries = 1;
+  config.loopback.fail_shard = 0;  // The only runner: nothing survives.
+  config.loopback.fail_after_requests = 10;
+  SearchEngine engine = MakeEngine(*fx, 1, config);
+
+  RoundCounter rounds;
+  auto result = engine.RunConcurrent(
+      StaggeredSpecs(Method::kRandom, 8),
+      [&](size_t idx, const QuerySession&) { rounds.Step(idx); });
+  ASSERT_FALSE(result.ok()) << "a dead fleet must not return traces";
+  EXPECT_EQ(result.status().code(), common::StatusCode::kInternal);
+  const query::DetectorService* service = engine.detector_service();
+  // The runner died after rounds had started splitting (the failing round's
+  // own flush finishes no step, hence the + 1): a half-wave was on the wire
+  // when it did.
+  EXPECT_GT(service->stats().flushes, rounds.rounds + 1);
+  EXPECT_FALSE(service->transport_status().ok());
+  EXPECT_EQ(service->PendingFrames(), 0u);
+  EXPECT_EQ(service->FlushesInFlight(), 0u);
+  EXPECT_EQ(engine.shard_transport()->InFlight(), 0u);
+  // Every session withdrew its registration: no id resolves to a detector
+  // that died with the workload.
+  EXPECT_EQ(service->directory().NumSessions(), 0u);
+}
+
+TEST(PipelinedDriverTest, NeverSplitsWhereOverlapCannotPay) {
+  const size_t num_shards = 2;
+  auto fx = DistFixture::Make(num_shards);
+  SearchEngine reference = MakeEngine(*fx, num_shards, PipelinedReferenceConfig());
+
+  // A local transport executes batches inline: nothing to overlap with.
+  EngineConfig local = PipelinedConfig();
+  local.transport = TransportKind::kLocal;
+  // Loopback without decode: no decode wall to hide the wire behind.
+  EngineConfig decode_free = OracleConfig();
+  decode_free.coalesce_detect = true;
+  decode_free.device_batch = 16;
+  decode_free.transport = TransportKind::kLoopback;
+  decode_free.loopback.latency_seconds = 0.0001;
+
+  const std::vector<QuerySpec> specs = StaggeredSpecs(Method::kExSample, 8);
+  for (const EngineConfig& config : {local, decode_free}) {
+    SearchEngine engine = MakeEngine(*fx, num_shards, config);
+    RoundCounter rounds;
+    auto result = engine.RunConcurrent(
+        specs, [&](size_t idx, const QuerySession&) { rounds.Step(idx); });
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(engine.detector_service()->stats().flushes, rounds.rounds)
+        << engine.shard_transport()->name();
+    if (config.simulate_decode) {
+      ExpectMatchesSolo(reference, specs, result.value(), "local transport");
+    }
+  }
+}
+
+TEST(PipelinedDriverTest, TenantServerShedsOnlyWithNothingInFlight) {
+  auto fx = DistFixture::Make(/*num_shards=*/2);
+  EngineConfig config = PipelinedConfig();
+  config.device_batch = 8;
+  SearchEngine engine = MakeEngine(*fx, 2, config);
+
+  // Shedding asserts that no step is in flight (`TenantServer` settles every
+  // round before it plans, sheds or admits); a saturating best-effort flood
+  // exercises it over the same transport and decode the pipelined driver
+  // uses.
+  serve::ServeOptions options;
+  options.admission.saturation_pending_frames = 12.0;
+  options.admission.shed_over_factor = 1.5;
+  serve::TenantServer server(&engine, options);
+  serve::TenantSpec user;
+  user.id = "user";
+  user.weight = 4.0;
+  serve::TenantSpec flood;
+  flood.id = "flood";
+  flood.slo = serve::SloClass::kBestEffort;
+  ASSERT_TRUE(server.AddTenant(user).ok());
+  ASSERT_TRUE(server.AddTenant(flood).ok());
+
+  std::vector<serve::TenantQuery> queries;
+  serve::TenantQuery interactive;
+  interactive.tenant = "user";
+  interactive.spec = StaggeredSpecs(Method::kExSample, 1)[0];
+  queries.push_back(interactive);
+  for (size_t i = 0; i < 8; ++i) {
+    serve::TenantQuery q;
+    q.tenant = "flood";
+    q.spec = StaggeredSpecs(Method::kRandom, 1)[0];
+    q.spec.limit = 200;
+    q.spec.options.batch_size = 8;
+    q.spec.options.max_samples = 2000;
+    queries.push_back(q);
+  }
+  auto outcomes = server.Serve(queries);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  EXPECT_EQ(outcomes.value()[0].kind, serve::OutcomeKind::kCompleted);
+  EXPECT_GT(server.tenants().usage(1).shed, 0u);
+  EXPECT_EQ(engine.detector_service()->FlushesInFlight(), 0u);
+}
+
 // --- DetectorService flush policies (unit level) ----------------------------
 
 struct ServiceFixture {
@@ -526,23 +799,24 @@ class ScriptedTransport : public query::ShardTransport {
     } else {
       response = query::ExecuteWireRequest(request, *resolver_, nullptr);
     }
-    completed_.push_back(std::move(response));
+    completed_.push_back(query::WireCompletion{std::move(response),
+                                               query::WireClockSeconds()});
     return common::Status::OK();
   }
-  common::Result<query::DetectResponseMsg> Receive() override {
+  common::Result<query::WireCompletion> Receive() override {
     if (completed_.empty()) {
       return common::Status::FailedPrecondition("no wire batch in flight");
     }
-    query::DetectResponseMsg response = std::move(completed_.front());
+    query::WireCompletion completion = std::move(completed_.front());
     completed_.erase(completed_.begin());
-    return response;
+    return completion;
   }
   size_t InFlight() const override { return completed_.size(); }
   query::TransportStats Stats() const override { return stats_; }
 
  private:
   const query::SessionResolver* resolver_ = nullptr;
-  std::vector<query::DetectResponseMsg> completed_;
+  std::vector<query::WireCompletion> completed_;
   std::set<uint64_t> failed_once_;
   query::TransportStats stats_;
 };

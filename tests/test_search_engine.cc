@@ -279,9 +279,14 @@ TEST(SearchEngineShardTest, SessionExposesShardObservability) {
   ASSERT_NE(session.value()->shard_dispatcher(), nullptr);
   EXPECT_EQ(session.value()->shard_dispatcher()->NumShards(), 4u);
   const query::QueryTrace trace = session.value()->Finish();
+  // Every sampled frame went through the detect service, and the shard
+  // trace parts book each detected frame on exactly one shard.
+  EXPECT_EQ(session.value()->scheduler_stats().frames_submitted, trace.final.samples);
+  const std::vector<query::ShardTracePart>& parts = session.value()->ShardParts();
+  ASSERT_EQ(parts.size(), 5u);  // Coordinator + 4 shards.
   uint64_t detected = 0;
-  for (const query::ShardStats& stats : session.value()->shard_dispatcher()->Stats()) {
-    detected += stats.frames_detected;
+  for (const query::ShardTracePart& part : parts) {
+    for (const query::ShardTraceEvent& event : part.events) detected += event.samples;
   }
   EXPECT_EQ(detected, trace.final.samples);
   // Unsharded engines have no dispatcher.

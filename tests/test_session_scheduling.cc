@@ -298,13 +298,16 @@ TEST(SessionSchedulingTest, SchedulerStatsMirrorCoalescedWork) {
     EXPECT_GT(stats.batches_shared, 0u);
     EXPECT_GT(stats.frames_coalesced, 0u);
     EXPECT_LE(stats.frames_coalesced, stats.frames_submitted);
-    // Sharded observability reads the same as the dispatcher-executed path.
-    uint64_t dispatcher_frames = 0;
+    // Sharded observability: the shard trace parts book every detected
+    // frame on its shard.
+    uint64_t shard_frames = 0;
     ASSERT_NE(session->shard_dispatcher(), nullptr);
-    for (const query::ShardStats& shard : session->shard_dispatcher()->Stats()) {
-      dispatcher_frames += shard.frames_detected;
+    for (const query::ShardTracePart& part : session->ShardParts()) {
+      for (const query::ShardTraceEvent& event : part.events) {
+        shard_frames += event.samples;
+      }
     }
-    EXPECT_EQ(dispatcher_frames, session->Trace().final.samples);
+    EXPECT_EQ(shard_frames, session->Trace().final.samples);
   }
   EXPECT_GT(service->stats().shared_batches, 0u);
   EXPECT_GT(service->FillRate(), 0.0);

@@ -229,13 +229,10 @@ TEST(ShardEquivalenceTest, MergedTraceReplaysFromShardParts) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ExpectTracesIdentical(finished, merged.value(), "replayed merge");
 
-  // Dispatcher stats agree with the trace's sample count.
+  // Every sampled frame was detected through the service.
   ASSERT_NE(session.value()->shard_dispatcher(), nullptr);
-  uint64_t detected = 0;
-  for (const query::ShardStats& stats : session.value()->shard_dispatcher()->Stats()) {
-    detected += stats.frames_detected;
-  }
-  EXPECT_EQ(detected, finished.final.samples);
+  EXPECT_EQ(session.value()->scheduler_stats().frames_submitted,
+            finished.final.samples);
 }
 
 // The proxy method's upfront scan cost lands on the coordinator's partial
@@ -377,21 +374,26 @@ TEST(ShardEquivalenceTest, DecodeAccountingUnderShardRouting) {
                                     options);
     const query::QueryTrace trace = execution.Finish();
 
+    // A shard's partial trace books one sample-free event per decode charge
+    // (detected frames carry a sample): its decode events must match its
+    // store's reads, and their charges the store's total.
+    const std::vector<query::ShardTracePart>& parts = execution.ShardParts();
+    ASSERT_EQ(parts.size(), 1 + sharded_repo.value().NumShards());
     uint64_t reads = 0;
-    double decode_seconds = 0.0;
     for (uint32_t s = 0; s < sharded_repo.value().NumShards(); ++s) {
       const video::DecodeStats& stats = stores[s]->Stats();
       reads += stats.random_reads + stats.sequential_reads;
-      decode_seconds += stats.total_seconds;
-      EXPECT_EQ(stats.random_reads + stats.sequential_reads,
-                dispatcher.Stats()[s].frames_decoded);
+      uint64_t decode_events = 0;
+      double charged = 0.0;
+      for (const query::ShardTraceEvent& event : parts[1 + s].events) {
+        if (event.samples != 0) continue;
+        decode_events += 1;
+        charged += event.seconds;
+      }
+      EXPECT_EQ(decode_events, stats.random_reads + stats.sequential_reads);
+      EXPECT_DOUBLE_EQ(charged, stats.total_seconds);
     }
     EXPECT_EQ(reads, trace.final.samples);
-    double charged = 0.0;
-    for (const query::ShardStats& stats : dispatcher.Stats()) {
-      charged += stats.decode_seconds;
-    }
-    EXPECT_DOUBLE_EQ(charged, decode_seconds);
   }
 }
 
