@@ -67,6 +67,73 @@ BENCHMARK(BM_ThompsonPick)
     ->Args({1024, 10})
     ->Args({1600, 0});
 
+// Per-draw costs behind ThompsonPolicy::kGroupCrossover: one keyed
+// Marsaglia–Tsang draw (the small-group path) against one inversion at a
+// group's largest U (the large-group path). Arg: shape x 10.
+void BM_ThompsonKeyedDraw(benchmark::State& state) {
+  const common::GammaSampler sampler(static_cast<double>(state.range(0)) / 10.0);
+  uint64_t key = 1;
+  for (auto _ : state) {
+    common::SplitMixStream stream(common::KeyedHash(++key, 7));
+    benchmark::DoNotOptimize(sampler.Draw(stream, 11.0));
+  }
+}
+BENCHMARK(BM_ThompsonKeyedDraw)->Arg(1)->Arg(11)->Arg(51);
+
+// The inversion at the largest of ~1000 uniforms, where a large group's
+// maximum sits.
+void BM_ThompsonGroupInversion(benchmark::State& state) {
+  const double shape = static_cast<double>(state.range(0)) / 10.0;
+  const double log_gamma = common::LogGamma(shape);
+  uint64_t key = 1;
+  for (auto _ : state) {
+    const uint64_t bits = ~(common::KeyedHash(++key, 7) >> 10);
+    benchmark::DoNotOptimize(
+        common::GammaQuantile(shape, log_gamma, common::UnitFromBits(bits)));
+  }
+}
+BENCHMARK(BM_ThompsonGroupInversion)->Arg(1)->Arg(11)->Arg(51);
+
+// Cases belief grouping cannot help. 1600 chunks whose warm-start priors
+// make every belief distinct, so every draw takes the per-chunk path.
+void BM_ThompsonPickDistinctBeliefs(benchmark::State& state) {
+  const size_t chunks = static_cast<size_t>(state.range(0));
+  core::ChunkStatsTable stats(chunks);
+  common::Rng rng(14);
+  std::vector<core::BeliefParams> priors(chunks);
+  for (size_t j = 0; j < chunks; ++j) {
+    priors[j] = {0.1 + 1e-3 * static_cast<double>(j), 1.0};
+    for (int i = 0; i < 10; ++i) stats.Update(j, rng.Bernoulli(0.1) ? 1 : 0, 0);
+  }
+  core::ThompsonPolicy policy;
+  policy.SetChunkPriors(priors);
+  std::vector<bool> eligible(chunks, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.PickChunk(stats, eligible, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * chunks);
+}
+BENCHMARK(BM_ThompsonPickDistinctBeliefs)->Arg(1600);
+
+// 60 chunks with n spread from tens to thousands of samples, as late in a
+// `repeat_reuse` query: nearly every (N1, n) pair is its own group.
+void BM_ThompsonPickSpreadN(benchmark::State& state) {
+  const size_t chunks = static_cast<size_t>(state.range(0));
+  core::ChunkStatsTable stats(chunks);
+  common::Rng rng(15);
+  for (size_t j = 0; j < chunks; ++j) {
+    const int samples = 20 + static_cast<int>(j * j);
+    for (int i = 0; i < samples; ++i) stats.Update(j, rng.Bernoulli(0.02) ? 1 : 0, 0);
+  }
+  core::ThompsonPolicy policy;
+  std::vector<bool> eligible(chunks, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.PickChunk(stats, eligible, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * chunks);
+}
+BENCHMARK(BM_ThompsonPickSpreadN)->Arg(60);
+
 void BM_BayesUcbPick(benchmark::State& state) {
   const size_t chunks = static_cast<size_t>(state.range(0));
   core::ChunkStatsTable stats(chunks);

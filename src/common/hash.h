@@ -23,6 +23,13 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return Mix64(seed ^ Mix64(value));
 }
 
+/// \brief Output `index` of a SplitMix64 stream started at `key`: a pure
+/// function of (key, index), so values keyed this way can be produced in any
+/// order, on any thread, and each is independent of the others.
+inline uint64_t KeyedHash(uint64_t key, uint64_t index) {
+  return Mix64(key + index * 0x9e3779b97f4a7c15ULL);
+}
+
 }  // namespace common
 }  // namespace exsample
 

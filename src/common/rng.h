@@ -9,8 +9,20 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace exsample {
 namespace common {
+
+/// \brief Layer tables of the 128-layer normal ziggurat (Marsaglia and
+/// Tsang 2000, in Doornik's 2005 ZIGNOR form), built once on first use.
+struct NormalZiggurat {
+  static constexpr int kLayers = 128;
+  static constexpr double kTailStart = 3.442619855899;  // R: the base layer's edge.
+  double x[kLayers + 1];  // Layer edges; x[0] is the base layer's V / f(R).
+  double ratio[kLayers];  // x[i + 1] / x[i]: the share of layer i inside the curve.
+  static const NormalZiggurat& Get();
+};
 
 /// \brief Deterministic pseudo-random number generator (xoshiro256++) with the
 /// distribution samplers the library needs.
@@ -125,6 +137,96 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
+/// \brief A counter-based stream: SplitMix64 outputs from a 64-bit seed,
+/// with the uniform and normal variates `GammaSampler::Draw` consumes.
+///
+/// A keyed Thompson draw seeds one of these from `KeyedHash(key, chunk)`, so
+/// the draw depends on nothing but its key, its chunk, and its belief.
+class SplitMixStream {
+ public:
+  explicit SplitMixStream(uint64_t seed) : state_(seed) {}
+
+  uint64_t NextU64() {
+    const uint64_t s = state_;
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return Mix64(s);
+  }
+
+  /// Uniform double in [0, 1) with 53 bits of randomness.
+  double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
+
+  /// Standard normal variate by the ziggurat: one output, a compare and a
+  /// multiply for ~99% of variates, where the polar method pays a log, a
+  /// sqrt and a divide for every pair. A keyed draw needs one normal, so the
+  /// polar pair's second half would be wasted.
+  double Normal() {
+    const NormalZiggurat& zig = NormalZiggurat::Get();
+    for (;;) {
+      const uint64_t bits = NextU64();
+      // Sign and magnitude from the top 53 bits, the layer from the low 7.
+      const double u = 2.0 * (static_cast<double>(bits >> 11) * 0x1.0p-53) - 1.0;
+      const int i = static_cast<int>(bits & (NormalZiggurat::kLayers - 1));
+      if (std::fabs(u) < zig.ratio[i]) return u * zig.x[i];
+      if (i == 0) return Tail(u < 0.0);
+      const double x = u * zig.x[i];
+      const double f0 = std::exp(-0.5 * (zig.x[i] * zig.x[i] - x * x));
+      const double f1 = std::exp(-0.5 * (zig.x[i + 1] * zig.x[i + 1] - x * x));
+      if (f1 + NextDouble() * (f0 - f1) < 1.0) return x;
+    }
+  }
+
+ private:
+  // Beyond R, by Marsaglia's exponential rejection.
+  double Tail(bool negative) {
+    constexpr double r = NormalZiggurat::kTailStart;
+    double x, y;
+    do {
+      x = std::log(OpenDouble()) / r;
+      y = std::log(OpenDouble());
+    } while (-2.0 * y < x * x);
+    return negative ? x - r : r - x;
+  }
+  // Uniform in (0, 1).
+  double OpenDouble() { return (static_cast<double>(NextU64() >> 11) + 0.5) * 0x1.0p-53; }
+
+  uint64_t state_;
+};
+
+/// \brief A probability and its complement, each carried at full precision:
+/// `p` is exact when it is below 1/2 and `q` when it is, so an inverse CDF
+/// can resolve the far upper tail through `q`.
+struct TailProbability {
+  double p;
+  double q;
+};
+
+/// \brief The uniform (0, 1) variate (bits + 1/2) / 2^64 of a 64-bit hash.
+/// Monotone non-decreasing in `bits`; neither tail ever reaches 0.
+inline TailProbability UnitFromBits(uint64_t bits) {
+  if (bits < (uint64_t{1} << 63)) {
+    const double p = (static_cast<double>(bits) + 0.5) * 0x1.0p-64;
+    return {p, 1.0 - p};
+  }
+  const double q = (static_cast<double>(~bits) + 0.5) * 0x1.0p-64;
+  return {1.0 - q, q};
+}
+
+/// \brief log Gamma(x) for x > 0. Thread-safe, unlike `std::lgamma`, which
+/// writes the global `signgam`.
+double LogGamma(double x);
+
+/// \brief Inverse of the Gamma(shape, rate 1) CDF: the x with
+/// P(shape, x) = tail.p, equivalently Q(shape, x) = tail.q, where P and Q are
+/// the regularized lower and upper incomplete gamma functions.
+/// `log_gamma_shape` is `LogGamma(shape)`, which a caller drawing many
+/// quantiles of one shape computes once.
+///
+/// Halley iterations from the Numerical Recipes starting point, converged to
+/// ~1e-15 relative. Each step measures its error through whichever tail is
+/// smaller, so a `tail.q` of 1e-15 is resolved as well as a `tail.p` of
+/// 1e-15 is.
+double GammaQuantile(double shape, double log_gamma_shape, TailProbability tail);
+
 /// \brief Gamma variates of one fixed shape, with the shape's
 /// Marsaglia–Tsang constants computed once.
 ///
@@ -159,7 +261,10 @@ class GammaSampler {
   /// pre-boost variate is already below `floor`, the boost factor
   /// U^{1/shape} <= 1 can only lower it further, so the `pow` is skipped.
   /// The random numbers consumed are the same either way.
-  double Draw(Rng& rng, double rate,
+  ///
+  /// `Gen` is `Rng` (the serial stream) or `SplitMixStream` (a keyed one).
+  template <typename Gen>
+  double Draw(Gen& rng, double rate,
               double floor = -std::numeric_limits<double>::infinity()) const {
     assert(rate > 0.0);
     // Boost: if X ~ Gamma(shape + 1) and U ~ Uniform(0, 1), then

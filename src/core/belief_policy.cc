@@ -1,8 +1,10 @@
 #include "core/belief_policy.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace exsample {
@@ -44,17 +46,130 @@ void BeliefChunkPolicy::CheckPriors(const ChunkStatsTable& stats) const {
                 "BeliefChunkPolicy: per-chunk priors disagree with chunk count");
 }
 
+size_t ThompsonPolicy::BeliefKeyHash::operator()(const BeliefKey& k) const {
+  return static_cast<size_t>(common::HashCombine(k.first, k.second));
+}
+
+void ThompsonPolicy::SetChunkPriors(std::vector<BeliefParams> priors) {
+  BeliefChunkPolicy::SetChunkPriors(std::move(priors));
+  ResetGroups(slots_.size());
+}
+
+void ThompsonPolicy::ResetGroups(size_t num_chunks) {
+  slots_.assign(num_chunks, Slot{});
+  groups_.clear();
+  free_groups_.clear();
+  group_of_belief_.clear();
+}
+
+void ThompsonPolicy::Join(uint32_t chunk, const ChunkState& state) {
+  Slot& slot = slots_[chunk];
+  if (slot.group != kNone) Leave(chunk);
+  slot.n = state.n;
+  slot.n1 = state.n1;
+  const BeliefParams& prior = PriorFor(chunk);
+  const double shape = static_cast<double>(state.n1 > 0 ? state.n1 : 0) + prior.alpha0;
+  const double rate = static_cast<double>(state.n) + prior.beta0;
+  uint64_t shape_bits, rate_bits;
+  std::memcpy(&shape_bits, &shape, sizeof shape);
+  std::memcpy(&rate_bits, &rate, sizeof rate);
+  const auto [it, created] =
+      group_of_belief_.try_emplace(BeliefKey{shape_bits, rate_bits}, kNone);
+  if (created) {
+    if (free_groups_.empty()) {
+      it->second = static_cast<uint32_t>(groups_.size());
+      groups_.emplace_back();
+    } else {
+      it->second = free_groups_.back();
+      free_groups_.pop_back();
+    }
+    Group& group = groups_[it->second];
+    group.shape = shape;
+    group.rate = rate;
+    group.sampler = common::GammaSampler(shape);
+    group.log_gamma = std::numeric_limits<double>::quiet_NaN();
+    group.best_chunk = kNone;
+  }
+  Group& group = groups_[it->second];
+  slot.group = it->second;
+  slot.pos = static_cast<uint32_t>(group.members.size());
+  group.members.push_back(chunk);
+}
+
+void ThompsonPolicy::Leave(uint32_t chunk) {
+  Slot& slot = slots_[chunk];
+  Group& group = groups_[slot.group];
+  const uint32_t moved = group.members.back();
+  group.members[slot.pos] = moved;
+  slots_[moved].pos = slot.pos;
+  group.members.pop_back();
+  if (group.members.empty()) {
+    uint64_t shape_bits, rate_bits;
+    std::memcpy(&shape_bits, &group.shape, sizeof shape_bits);
+    std::memcpy(&rate_bits, &group.rate, sizeof rate_bits);
+    group_of_belief_.erase(BeliefKey{shape_bits, rate_bits});
+    free_groups_.push_back(slot.group);
+  }
+  slot.group = kNone;
+}
+
 size_t ThompsonPolicy::PickChunk(const ChunkStatsTable& stats,
                                  const std::vector<bool>& eligible, common::Rng& rng) {
+  return PickKeyed(stats, eligible, rng.NextU64());
+}
+
+size_t ThompsonPolicy::PickKeyed(const ChunkStatsTable& stats,
+                                 const std::vector<bool>& eligible, uint64_t key) {
   CheckPriors(stats);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j, double best) {
-    const BeliefParams& prior = PriorFor(j);
-    const uint64_t n1 = stats.N1NonNegative(j);
-    const double shape = static_cast<double>(n1) + prior.alpha0;
-    common::GammaSampler& sampler = samplers_[n1 % samplers_.size()];
-    if (sampler.shape() != shape) sampler = common::GammaSampler(shape);
-    return sampler.Draw(rng, static_cast<double>(stats.State(j).n) + prior.beta0, best);
-  });
+  const size_t num_chunks = stats.NumChunks();
+  if (slots_.size() != num_chunks) ResetGroups(num_chunks);
+  for (Group& group : groups_) group.best_chunk = kNone;
+
+  // One pass: bring each chunk's membership up to date, hash it, and keep
+  // each group's largest hash. A chunk joins or leaves only at its own
+  // visit, so a group's best covers exactly its eligible members.
+  for (uint32_t j = 0; j < num_chunks; ++j) {
+    Slot& slot = slots_[j];
+    if (!eligible[j]) {
+      if (slot.group != kNone) Leave(j);
+      continue;
+    }
+    const ChunkState& state = stats.State(j);
+    if (slot.group == kNone || state.n != slot.n || state.n1 != slot.n1) Join(j, state);
+    const uint64_t hash = common::KeyedHash(key, j);
+    Group& group = groups_[slot.group];
+    if (group.best_chunk == kNone || hash > group.best_hash) {
+      group.best_hash = hash;
+      group.best_chunk = j;
+    }
+  }
+
+  double best = -std::numeric_limits<double>::infinity();
+  size_t best_idx = num_chunks;  // Sentinel: no eligible chunk seen yet.
+  const auto consider = [&](double draw, size_t j) {
+    if (draw > best || (draw == best && j < best_idx)) {
+      best = draw;
+      best_idx = j;
+    }
+  };
+  // Large groups first: their maxima set a high floor for the rest.
+  for (Group& group : groups_) {
+    if (group.members.size() < kGroupCrossover) continue;
+    if (std::isnan(group.log_gamma)) group.log_gamma = common::LogGamma(group.shape);
+    consider(common::GammaQuantile(group.shape, group.log_gamma,
+                                   common::UnitFromBits(group.best_hash)) /
+                 group.rate,
+             group.best_chunk);
+  }
+  for (const Group& group : groups_) {
+    if (group.members.empty() || group.members.size() >= kGroupCrossover) continue;
+    for (uint32_t j : group.members) {
+      common::SplitMixStream stream(common::KeyedHash(key, j));
+      consider(group.sampler.Draw(stream, group.rate, best), j);
+    }
+  }
+  common::Check(best_idx < num_chunks, "PickChunk requires at least one eligible chunk");
+  return best_idx;
 }
 
 size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats,

@@ -1,9 +1,12 @@
 #ifndef EXSAMPLE_CORE_BELIEF_POLICY_H_
 #define EXSAMPLE_CORE_BELIEF_POLICY_H_
 
-#include <array>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,7 +52,7 @@ class BeliefChunkPolicy : public ChunkPolicy {
   /// prior for chunk j; the vector's size must match the stats table the
   /// policy is used with (checked at pick time). Empty reverts to the flat
   /// prior.
-  void SetChunkPriors(std::vector<BeliefParams> priors) {
+  virtual void SetChunkPriors(std::vector<BeliefParams> priors) {
     chunk_priors_ = std::move(priors);
   }
 
@@ -70,30 +73,81 @@ class BeliefChunkPolicy : public ChunkPolicy {
 
 /// \brief Thompson sampling over Gamma beliefs (the paper's method,
 /// Sec. III-C): draw R_j ~ Gamma(N1_j + alpha0, n_j + beta0) for every chunk
-/// and take the argmax. Ties are broken by the randomness of the draws; on
-/// the first iteration all beliefs are identical, so the pick is uniform.
+/// and take the argmax. On the first iteration all beliefs are identical, so
+/// the pick is uniform.
 ///
-/// The pick is the engine's hot loop. It reuses `common::GammaSampler`
-/// constants across draws of the same shape N1 + alpha0, and passes its
-/// running best to each draw so boosted draws that cannot win skip their
-/// `pow`. Both are exact: the picks and the random numbers consumed are those
-/// of drawing `MakeBelief(N1, n, prior).Sample(rng)` for every eligible
-/// chunk.
+/// The draws are keyed, not serial. Each pick takes exactly one `u64` key
+/// from `rng`, and chunk j's draw is a pure function of (key, j, shape_j,
+/// rate_j), so no draw depends on the order the chunks are visited in:
+///
+/// - **Belief groups.** Eligible chunks whose beliefs have bit-identical
+///   (shape, rate) form a group. In a group of at least `kGroupCrossover`
+///   members every draw is an inversion x_j = F^{-1}(U_j), with
+///   U_j = `UnitFromBits(KeyedHash(key, j))`. Inversion is monotone, so the
+///   group's largest draw belongs to its largest U: the pick hashes every
+///   member and inverts once per group (`common::GammaQuantile`).
+/// - **Small groups** (warm-started priors, or late queries whose chunks have
+///   drifted apart) draw each member by Marsaglia–Tsang from a
+///   `common::SplitMixStream` seeded with the same hash. That costs what a
+///   serial draw does; the pick's running best is passed as the floor, so
+///   boosted draws that cannot win skip their `pow`.
+///
+/// Ties go to the lowest chunk index: equal U within a group, and equal draws
+/// across groups. Group membership follows the table incrementally: a chunk
+/// moves only when its (n, N1) or its eligibility changed since the last
+/// pick, and `SetChunkPriors` regroups everything.
 class ThompsonPolicy : public BeliefChunkPolicy {
  public:
+  /// Groups below this size draw per member; from it on, one inversion per
+  /// group is cheaper. Set from `bench_micro`: `BM_ThompsonGroupInversion`
+  /// costs 0.5–1.3 us and `BM_ThompsonKeyedDraw` 15–35 ns, so an inversion
+  /// costs about as much as 30–50 keyed draws.
+  static constexpr size_t kGroupCrossover = 32;
+
   explicit ThompsonPolicy(BeliefParams params = {}) : BeliefChunkPolicy(params) {}
   size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
                    common::Rng& rng) override;
   std::string name() const override { return "thompson"; }
+  void SetChunkPriors(std::vector<BeliefParams> priors) override;
+
+  /// \brief The pick for a given key, without touching a generator:
+  /// `PickChunk` is `PickKeyed(stats, eligible, rng.NextU64())`.
+  size_t PickKeyed(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
+                   uint64_t key);
 
  private:
-  // Sampler constants in a direct-mapped table indexed by clamped N1; a slot
-  // is rebuilt whenever it holds a different shape. Under the flat prior
-  // each N1 below the table size keeps its own slot, so nearly every draw
-  // hits. Per-chunk priors that share an N1 evict each other, which costs
-  // only the constants' recomputation. A fixed table rather than one entry
-  // per chunk keeps a query's first pick free of a heap allocation.
-  std::array<common::GammaSampler, 16> samplers_;
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  // The (n, N1) a chunk was grouped with, and where it sits.
+  struct Slot {
+    uint64_t n = 0;
+    int64_t n1 = 0;
+    uint32_t group = kNone;  // kNone: ineligible or not yet grouped.
+    uint32_t pos = 0;        // Index in the group's `members`.
+  };
+  struct Group {
+    double shape = 0.0;
+    double rate = 0.0;
+    common::GammaSampler sampler;
+    double log_gamma = std::numeric_limits<double>::quiet_NaN();  // Lazily.
+    std::vector<uint32_t> members;
+    // This pick's largest hash among the members, and its chunk.
+    uint64_t best_hash = 0;
+    uint32_t best_chunk = kNone;
+  };
+  using BeliefKey = std::pair<uint64_t, uint64_t>;  // Bits of (shape, rate).
+  struct BeliefKeyHash {
+    size_t operator()(const BeliefKey& k) const;
+  };
+
+  void ResetGroups(size_t num_chunks);
+  void Join(uint32_t chunk, const ChunkState& state);
+  void Leave(uint32_t chunk);
+
+  std::vector<Slot> slots_;
+  std::vector<Group> groups_;
+  std::vector<uint32_t> free_groups_;
+  std::unordered_map<BeliefKey, uint32_t, BeliefKeyHash> group_of_belief_;
 };
 
 /// \brief Bayes-UCB (Kaufmann): use the upper 1 - 1/t quantile of the same

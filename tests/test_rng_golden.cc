@@ -3,9 +3,9 @@
 // The bit-identity suites elsewhere compare one configuration against
 // another (batched vs. unbatched, sharded vs. solo, ...), so a change that
 // shifted every configuration's stream at once would pass all of them. These
-// tests pin absolute values instead: the first 64 outputs of the samplers the
-// Thompson pick consumes, and a 300-pick ThompsonPolicy sequence over a
-// BDD-MOT-sized chunk table. A failure here means the random stream changed,
+// tests pin absolute values instead: the first 64 outputs of the serial
+// samplers, and a 300-pick ThompsonPolicy sequence (keyed draws, one key per
+// pick) over a BDD-MOT-sized chunk table. A failure here means the random stream changed,
 // which changes every trace the library produces.
 
 #include <gtest/gtest.h>
@@ -143,12 +143,11 @@ TEST(ThompsonGoldenTest, PickSequenceOver1600Chunks) {
     stats.Update(j, found, once);
   }
   const std::vector<uint64_t> head(picks.begin(), picks.begin() + 16);
-  EXPECT_EQ(head, (std::vector<uint64_t>{985, 1103, 757, 449, 780, 1042, 871, 21, 754,
-                                         1331, 635, 579, 1127, 908, 447, 817}));
-  // The generator's state after the sequence: the pick consumed exactly the
-  // draws it always has.
+  EXPECT_EQ(head, (std::vector<uint64_t>{460, 137, 1587, 1333, 1238, 1212, 879, 943, 813,
+                                         746, 161, 828, 348, 372, 751, 568}));
+  // The generator's state after the sequence: each pick took one key.
   picks.push_back(pick_rng.NextU64());
-  ExpectGolden(picks, {0x00000000000003d9ULL, 0xc22462a7783d1468ULL, 0x4f1b088299706fd5ULL});
+  ExpectGolden(picks, {0x00000000000001ccULL, 0xd366d2fa645d3c0dULL, 0x666dff22dc79cfc2ULL});
 }
 
 }  // namespace
