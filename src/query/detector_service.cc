@@ -29,7 +29,7 @@ DetectorService::DetectorService(DetectorServiceOptions options, size_t num_shar
   common::Check(options_.transport != nullptr,
                 "detector service needs a transport (LocalTransport in process)");
   queues_.resize(num_shards);
-  shard_down_.assign(num_shards, false);
+  runners_.assign(num_shards, RunnerHealth{});
   options_.transport->BindLocalResolver(&directory_);
 }
 
@@ -237,6 +237,7 @@ DetectorService::FlushId DetectorService::ShipShards(
             "detect transport failed permanently: every shard runner is down"));
         return 0;
       }
+      slice.probe = runners_[slice.runner].down;  // Only probes reach one.
       const uint64_t seq = next_wire_seq_++;
       slice.send_seconds = WireClockSeconds();
       common::CheckOk(options_.transport->Send(slice.runner, BuildRequest(slice, seq)),
@@ -296,6 +297,13 @@ void DetectorService::ReceiveOne() {
           std::move(response.detections[i]);
     }
     stats_.wire_charged_seconds += response.charged_seconds;
+    RunnerHealth& health = runners_[slice.runner];
+    health.failed_batches = 0;
+    if (health.down) {
+      // The probe came back served: the runner rejoins the fleet.
+      health = RunnerHealth{};
+      stats_.shards_readmitted += 1;
+    }
     const FlushId id = slice.flush;
     inflight_.erase(it);
     ShippedFlush& flush = shipped_.at(id);
@@ -318,13 +326,14 @@ void DetectorService::ReceiveOne() {
     return;
   }
 
-  // Unavailability (the only failure reaching here): retried in place;
-  // exhausted retries mark the runner down and requeue the batch onto a
-  // surviving shard's runner. `origin_shard` never changes, so the
-  // surviving runner resolves the *same* session/shard detector contexts
-  // — detections, and the session's per-shard charged seconds, are
-  // identical to the no-failure run.
-  if (slice.runner_attempts < options_.max_retries) {
+  // Unavailability (the only failure reaching here): retried in place, then
+  // requeued onto another live runner. `origin_shard` never changes, so the
+  // serving runner resolves the *same* session/shard detector contexts —
+  // detections, and the session's per-shard charged seconds, are identical
+  // to the no-failure run.
+  RunnerHealth& health = runners_[slice.runner];
+  if (slice.probe) health.probing = false;
+  if (!health.down && slice.runner_attempts < options_.max_retries) {
     slice.attempt += 1;
     slice.runner_attempts += 1;
     stats_.wire_retries += 1;
@@ -333,18 +342,27 @@ void DetectorService::ReceiveOne() {
                     "wire send failed");
     return;
   }
-  if (!shard_down_[slice.runner]) {
-    shard_down_[slice.runner] = true;
+  if (health.down) {
+    // Down runners get no retries. A failed probe backs off further; a batch
+    // sent before the runner went down just moves on.
+    if (slice.probe) {
+      health.backoff = std::min(2.0 * health.backoff, kProbeBackoffCapSeconds);
+      health.probe_at = WireClockSeconds() + health.backoff;
+    }
+  } else if (++health.failed_batches >= kDownAfterFailedBatches) {
+    health.down = true;
+    health.probe_at = WireClockSeconds() + health.backoff;
     stats_.shards_down += 1;
   }
-  uint32_t survivor = 0;
-  if (!RouteShard(slice.origin_shard, &survivor)) {
+  uint32_t next = 0;
+  if (!NextLiveRunner(slice.runner, &next)) {
     inflight_.erase(it);
     FailTransport(common::Status::Internal(
         "detect transport failed permanently: every shard runner is down"));
     return;
   }
-  slice.runner = survivor;
+  slice.runner = next;
+  slice.probe = false;
   slice.attempt += 1;
   slice.runner_attempts = 0;  // Fresh retry budget on the new runner.
   stats_.wire_requeues += 1;
@@ -440,14 +458,31 @@ void DetectorService::BookSlices(const std::vector<WorkItem>& entries) {
   }
 }
 
-bool DetectorService::RouteShard(uint32_t origin, uint32_t* runner) const {
-  if (!shard_down_[origin]) {
+bool DetectorService::RouteShard(uint32_t origin, uint32_t* runner) {
+  RunnerHealth& health = runners_[origin];
+  if (health.down && !health.probing && WireClockSeconds() >= health.probe_at) {
+    health.probing = true;  // This batch is the probe.
     *runner = origin;
     return true;
   }
-  for (uint32_t d = 1; d < queues_.size(); ++d) {
-    const uint32_t s = (origin + d) % static_cast<uint32_t>(queues_.size());
-    if (!shard_down_[s]) {
+  if (!health.down) {
+    *runner = origin;
+    return true;
+  }
+  for (uint32_t d = 1; d < runners_.size(); ++d) {
+    const uint32_t s = (origin + d) % static_cast<uint32_t>(runners_.size());
+    if (!runners_[s].down) {
+      *runner = s;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool DetectorService::NextLiveRunner(uint32_t from, uint32_t* runner) const {
+  for (uint32_t d = 1; d <= runners_.size(); ++d) {
+    const uint32_t s = (from + d) % static_cast<uint32_t>(runners_.size());
+    if (!runners_[s].down) {
       *runner = s;
       return true;
     }

@@ -84,10 +84,14 @@ struct DetectorServiceOptions {
   /// on construction.
   ShardTransport* transport = nullptr;
   /// Transient-failure budget per wire batch: a failed batch is retried this
-  /// many times on its runner, then the runner is marked down and the batch
-  /// is requeued onto a surviving shard's runner (`origin_shard` unchanged,
-  /// so detections and per-shard accounting are identical). When every
-  /// runner is down the service fails sticky — `transport_status()`.
+  /// many times on its runner, then requeued onto another live runner
+  /// (`origin_shard` unchanged, so detections and per-shard accounting are
+  /// identical), or onto the same one when no other is up. A runner is
+  /// marked down only when `kDownAfterFailedBatches` batches in a row
+  /// exhausted their budget on it with no success between; a down runner is
+  /// probed with its own shard's next batch after a capped backoff and
+  /// re-admitted when the probe succeeds. When every runner is down the
+  /// service fails sticky — `transport_status()`.
   size_t max_retries = 2;
   /// Fingerprint stamped into every wire request
   /// (`video::VideoRepository::Fingerprint`); 0 disables the runner-side
@@ -125,8 +129,10 @@ struct DetectorServiceStats {
   /// because the origin's runner was already marked down. Counted inside
   /// `wire_batches`, not extra traffic.
   uint64_t wire_reroutes = 0;
-  /// Shard runners marked permanently down.
+  /// Times a shard runner was marked down.
   uint64_t shards_down = 0;
+  /// Times a down runner passed its probe and was re-admitted.
+  uint64_t shards_readmitted = 0;
   /// Detector seconds the shard runners reported charging (transport only;
   /// the sessions' own accounting is authoritative — this is the remote
   /// half, for observability).
@@ -182,7 +188,7 @@ struct DetectorServiceStats {
 /// `LocalTransport`) and its response is scattered back by wire sequence
 /// number — completions may arrive in any order, because results land in
 /// fixed ticket slots either way. Failed batches are retried `max_retries`
-/// times, then requeued onto a surviving shard's runner with `origin_shard`
+/// times, then requeued onto another live runner with `origin_shard`
 /// (and therefore the serving detector contexts and the charged seconds)
 /// unchanged; when every runner is down the service goes sticky-failed
 /// (`transport_status()`) and `CancelPending` releases whatever could not
@@ -388,6 +394,7 @@ class DetectorService {
                                    // requeued batch gets a fresh budget on
                                    // its survivor — one transient blip there
                                    // must not cascade to marking it down.
+    bool probe = false;            // Sent to a down runner to test it.
     std::vector<WorkItem> entries;
   };
   /// One shipped flush: its extracted work (for bookkeeping once every
@@ -426,9 +433,32 @@ class DetectorService {
   void BookSlices(const std::vector<WorkItem>& entries);
 
   /// Picks the runner for `origin`'s batches: `origin` itself while its
-  /// runner is up, else the next surviving shard. Returns false — leaving
-  /// `*runner` untouched — when every runner is down.
-  bool RouteShard(uint32_t origin, uint32_t* runner) const;
+  /// runner is up or due a probe (which this claims), else the next
+  /// surviving shard. Returns false — leaving `*runner` untouched — when
+  /// every runner is down.
+  bool RouteShard(uint32_t origin, uint32_t* runner);
+  /// The next live runner after `from`, or `from` itself when it is the
+  /// only one up; false when none is.
+  bool NextLiveRunner(uint32_t from, uint32_t* runner) const;
+
+ public:
+  /// Batches in a row that must exhaust their retries on one runner, with no
+  /// success from it between, before it is marked down.
+  static constexpr uint32_t kDownAfterFailedBatches = 2;
+  /// Backoff before a down runner's first probe; doubled after each failed
+  /// probe up to the cap.
+  static constexpr double kProbeBackoffSeconds = 0.05;
+  static constexpr double kProbeBackoffCapSeconds = 5.0;
+
+ private:
+  // Health of one shard runner.
+  struct RunnerHealth {
+    bool down = false;
+    bool probing = false;          // A probe batch is on the wire.
+    uint32_t failed_batches = 0;   // Exhausted batches since its last success.
+    double probe_at = 0.0;         // Wall clock of the next probe, when down.
+    double backoff = kProbeBackoffSeconds;
+  };
 
   DetectorServiceOptions options_;
 
@@ -442,7 +472,7 @@ class DetectorService {
   std::map<FlushId, ShippedFlush> shipped_;                // Ship order.
   FlushTiming timing_;
   std::unordered_map<Ticket, std::vector<detect::Detections>> ready_;
-  std::vector<bool> shard_down_;       // Runners marked permanently failed.
+  std::vector<RunnerHealth> runners_;  // Per shard runner.
   common::Status transport_status_;    // Sticky; OK while the fleet serves.
   SessionDirectory directory_;         // Runner-side id -> detector registry.
   std::unordered_set<uint64_t> registered_sessions_;

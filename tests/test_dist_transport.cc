@@ -259,6 +259,42 @@ TEST(DistTransportTest, RequeuedBatchesGetAFreshRetryBudgetOnTheSurvivor) {
   }
 }
 
+TEST(DistTransportTest, SingleRunnerSurvivesTransientsThatExhaustABatch) {
+  // One shard, 5% transient failures, one retry per batch: now and then a
+  // batch fails twice in a row. That used to mark the only runner down and
+  // fail the whole service; a runner goes down only after repeated
+  // exhausted batches with no success between, so the batch is resent to
+  // the same runner and the workload completes bit-identical.
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  EngineConfig config = LoopbackConfig(/*failure_rate=*/0.05);
+  config.transport_max_retries = 1;
+  SearchEngine engine = MakeEngine(*fx, 1, config);
+  SearchEngine reference = MakeEngine(*fx, 1, OracleConfig());
+
+  // Each round's batches draw fresh failure coins (new wire sequence
+  // numbers); keep going until some batch exhausted its budget.
+  const std::vector<QuerySpec> specs = AllMethodSpecs(/*limit=*/10);
+  std::vector<query::QueryTrace> solo;
+  for (const QuerySpec& spec : specs) {
+    auto run = reference.FindDistinct(spec.class_id, spec.limit, spec.options);
+    ASSERT_TRUE(run.ok());
+    solo.push_back(std::move(run).value());
+  }
+  const query::DetectorServiceStats& stats = engine.detector_service()->stats();
+  for (int round = 0; round < 100 && stats.wire_requeues == 0; ++round) {
+    auto concurrent = engine.RunConcurrent(specs);
+    ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ExpectSameTrace(solo[i], concurrent.value()[i],
+                      std::string("single runner with transients: ") +
+                          MethodName(specs[i].options.method));
+    }
+  }
+  EXPECT_GE(stats.wire_requeues, 1u) << "no batch exhausted its retries";
+  EXPECT_EQ(stats.shards_down, 0u);
+  EXPECT_TRUE(engine.detector_service()->transport_status().ok());
+}
+
 // --- Permanent failure surfaces a Status ------------------------------------
 
 TEST(DistTransportTest, AllRunnersDownSurfacesStatusFromRunConcurrent) {
@@ -794,7 +830,7 @@ class ScriptedTransport : public query::ShardTransport {
     response.wire_seq = request.wire_seq;
     response.origin_shard = request.origin_shard;
     response.attempt = request.attempt;
-    if (runner_shard == 0 || failed_once_.insert(request.wire_seq).second) {
+    if (runner_shard == 0 ? shard0_dead_ : failed_once_.insert(request.wire_seq).second) {
       response.status = query::WireStatus::kUnavailable;
     } else {
       response = query::ExecuteWireRequest(request, *resolver_, nullptr);
@@ -813,8 +849,11 @@ class ScriptedTransport : public query::ShardTransport {
   }
   size_t InFlight() const override { return completed_.size(); }
   query::TransportStats Stats() const override { return stats_; }
+  /// Shard 0 serves from now on.
+  void ReviveShard0() { shard0_dead_ = false; }
 
  private:
+  bool shard0_dead_ = true;
   const query::SessionResolver* resolver_ = nullptr;
   std::vector<query::WireCompletion> completed_;
   std::set<uint64_t> failed_once_;
@@ -848,11 +887,49 @@ TEST(DistTransportTest, RetryBudgetResetsPerRunnerDeterministic) {
   ASSERT_TRUE(service.Ready(ticket));
   fixture.ExpectDirectDetections(frames, service.Take(ticket));
   const query::DetectorServiceStats& stats = service.stats();
-  EXPECT_EQ(stats.shards_down, 1u);     // Only the dead runner.
+  // One exhausted batch makes shard 0 suspect, not down: marking a runner
+  // down takes kDownAfterFailedBatches exhausted batches in a row.
+  EXPECT_EQ(stats.shards_down, 0u);
   EXPECT_EQ(stats.wire_requeues, 1u);   // Shard 0's slice moved to shard 1.
   // 2 exhausted retries on shard 0, 1 absorbed transient per wire batch on
   // shard 1 (the requeued slice and shard 1's own slice).
   EXPECT_EQ(stats.wire_retries, 4u);
+}
+
+TEST(DistTransportTest, DownRunnerIsProbedAndReadmitted) {
+  // Shard 0 refuses every batch for a while, is marked down, and recovers:
+  // a probe after the backoff finds it serving again and re-admits it.
+  ServiceFixture fixture;
+  ScriptedTransport transport;
+  query::DetectorServiceOptions options;
+  options.device_batch = 8;
+  options.max_retries = 0;
+  options.transport = &transport;
+  query::DetectorService service(options, 2);
+
+  const std::vector<video::FrameId> frames = {10, 20};
+  const std::vector<uint32_t> shards = {0, 0};  // Shard 0's runner is dead.
+  for (uint32_t round = 0; round < query::DetectorService::kDownAfterFailedBatches;
+       ++round) {
+    query::DetectorService::DetectRequest request = fixture.Request(frames);
+    request.shards = common::Span<const uint32_t>(shards.data(), shards.size());
+    const auto ticket = service.Submit(request);
+    service.Flush();
+    ASSERT_TRUE(service.Ready(ticket));
+    fixture.ExpectDirectDetections(frames, service.Take(ticket));
+  }
+  EXPECT_EQ(service.stats().shards_down, 1u);
+  transport.ReviveShard0();
+  std::this_thread::sleep_for(std::chrono::duration<double>(
+      2 * query::DetectorService::kProbeBackoffSeconds));
+  query::DetectorService::DetectRequest request = fixture.Request(frames);
+  request.shards = common::Span<const uint32_t>(shards.data(), shards.size());
+  const auto ticket = service.Submit(request);
+  service.Flush();
+  ASSERT_TRUE(service.Ready(ticket));
+  fixture.ExpectDirectDetections(frames, service.Take(ticket));
+  EXPECT_EQ(service.stats().shards_readmitted, 1u);
+  EXPECT_TRUE(service.transport_status().ok());
 }
 
 TEST(DistTransportTest, SessionDirectoryResolvesAndRejects) {
