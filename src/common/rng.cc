@@ -77,6 +77,22 @@ double GammaCdfError(double a, double x, double log_gamma_a, TailProbability tai
 
 }  // namespace
 
+double RegularizedGammaP(double a, double x, double log_gamma_a) {
+  assert(a > 0.0);
+  if (x <= 0.0) return 0.0;
+  if (std::isinf(x)) return 1.0;
+  if (x < a + 1.0) return LowerGammaSeries(a, x, log_gamma_a);
+  return 1.0 - UpperGammaFraction(a, x, log_gamma_a);
+}
+
+double RegularizedGammaQ(double a, double x, double log_gamma_a) {
+  assert(a > 0.0);
+  if (x <= 0.0) return 1.0;
+  if (std::isinf(x)) return 0.0;
+  if (x < a + 1.0) return 1.0 - LowerGammaSeries(a, x, log_gamma_a);
+  return UpperGammaFraction(a, x, log_gamma_a);
+}
+
 const NormalZiggurat& NormalZiggurat::Get() {
   static const NormalZiggurat table = [] {
     // Layers of equal area V under f(x) = exp(-x^2 / 2), from the base

@@ -215,6 +215,16 @@ inline TailProbability UnitFromBits(uint64_t bits) {
 /// writes the global `signgam`.
 double LogGamma(double x);
 
+/// \brief Regularized lower incomplete gamma function P(a, x), the CDF of
+/// Gamma(shape a, rate 1) at x, for a > 0 and x >= 0, given log Gamma(a).
+/// Series below x = a + 1, Lentz continued fraction above (Numerical
+/// Recipes `gammp`), accurate to ~1e-15.
+double RegularizedGammaP(double a, double x, double log_gamma_a);
+
+/// \brief Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x),
+/// computed directly in the upper tail, so a tiny Q keeps its precision.
+double RegularizedGammaQ(double a, double x, double log_gamma_a);
+
 /// \brief Inverse of the Gamma(shape, rate 1) CDF: the x with
 /// P(shape, x) = tail.p, equivalently Q(shape, x) = tail.q, where P and Q are
 /// the regularized lower and upper incomplete gamma functions.

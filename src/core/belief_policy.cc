@@ -46,10 +46,6 @@ void BeliefChunkPolicy::CheckPriors(const ChunkStatsTable& stats) const {
                 "BeliefChunkPolicy: per-chunk priors disagree with chunk count");
 }
 
-size_t ThompsonPolicy::BeliefKeyHash::operator()(const BeliefKey& k) const {
-  return static_cast<size_t>(common::HashCombine(k.first, k.second));
-}
-
 void ThompsonPolicy::SetChunkPriors(std::vector<BeliefParams> priors) {
   BeliefChunkPolicy::SetChunkPriors(std::move(priors));
   ResetGroups(slots_.size());
@@ -58,59 +54,90 @@ void ThompsonPolicy::SetChunkPriors(std::vector<BeliefParams> priors) {
 void ThompsonPolicy::ResetGroups(size_t num_chunks) {
   slots_.assign(num_chunks, Slot{});
   groups_.clear();
-  free_groups_.clear();
-  group_of_belief_.clear();
+  free_groups_ = kNone;
+  size_t buckets = 2;
+  while (buckets < 2 * num_chunks) buckets *= 2;
+  index_.assign(buckets, kNone);
 }
 
-void ThompsonPolicy::Join(uint32_t chunk, const ChunkState& state) {
-  Slot& slot = slots_[chunk];
-  if (slot.group != kNone) Leave(chunk);
-  slot.n = state.n;
-  slot.n1 = state.n1;
-  const BeliefParams& prior = PriorFor(chunk);
-  const double shape = static_cast<double>(state.n1 > 0 ? state.n1 : 0) + prior.alpha0;
-  const double rate = static_cast<double>(state.n) + prior.beta0;
+size_t ThompsonPolicy::Bucket(double shape, double rate) const {
   uint64_t shape_bits, rate_bits;
   std::memcpy(&shape_bits, &shape, sizeof shape);
   std::memcpy(&rate_bits, &rate, sizeof rate);
-  const auto [it, created] =
-      group_of_belief_.try_emplace(BeliefKey{shape_bits, rate_bits}, kNone);
-  if (created) {
-    if (free_groups_.empty()) {
-      it->second = static_cast<uint32_t>(groups_.size());
+  return static_cast<size_t>(common::HashCombine(shape_bits, rate_bits)) &
+         (index_.size() - 1);
+}
+
+void ThompsonPolicy::Join(uint32_t chunk, const ChunkState& state) {
+  if (slots_[chunk].group != kNone) Leave(chunk);
+  Slot& slot = slots_[chunk];
+  slot.n = static_cast<uint32_t>(state.n);
+  const BeliefParams& prior = PriorFor(chunk);
+  const double shape = static_cast<double>(state.n1 > 0 ? state.n1 : 0) + prior.alpha0;
+  const double rate = static_cast<double>(state.n) + prior.beta0;
+  const size_t mask = index_.size() - 1;
+  size_t bucket = Bucket(shape, rate);
+  while (index_[bucket] != kNone) {
+    const Group& group = groups_[index_[bucket]];
+    if (group.shape == shape && group.rate == rate) break;
+    bucket = (bucket + 1) & mask;
+  }
+  if (index_[bucket] == kNone) {
+    uint32_t id;
+    if (free_groups_ == kNone) {
+      id = static_cast<uint32_t>(groups_.size());
       groups_.emplace_back();
     } else {
-      it->second = free_groups_.back();
-      free_groups_.pop_back();
+      id = free_groups_;
+      free_groups_ = groups_[id].head;
     }
-    Group& group = groups_[it->second];
+    Group& group = groups_[id];
     group.shape = shape;
     group.rate = rate;
     group.sampler = common::GammaSampler(shape);
-    group.log_gamma = std::numeric_limits<double>::quiet_NaN();
+    group.has_log_gamma = false;
+    group.size = 0;
+    group.head = kNone;
     group.best_chunk = kNone;
+    index_[bucket] = id;
   }
-  Group& group = groups_[it->second];
-  slot.group = it->second;
-  slot.pos = static_cast<uint32_t>(group.members.size());
-  group.members.push_back(chunk);
+  Group& group = groups_[index_[bucket]];
+  slot.group = index_[bucket];
+  slot.prev = kNone;
+  slot.next = group.head;
+  if (group.head != kNone) slots_[group.head].prev = chunk;
+  group.head = chunk;
+  group.size += 1;
 }
 
 void ThompsonPolicy::Leave(uint32_t chunk) {
   Slot& slot = slots_[chunk];
-  Group& group = groups_[slot.group];
-  const uint32_t moved = group.members.back();
-  group.members[slot.pos] = moved;
-  slots_[moved].pos = slot.pos;
-  group.members.pop_back();
-  if (group.members.empty()) {
-    uint64_t shape_bits, rate_bits;
-    std::memcpy(&shape_bits, &group.shape, sizeof shape_bits);
-    std::memcpy(&rate_bits, &group.rate, sizeof rate_bits);
-    group_of_belief_.erase(BeliefKey{shape_bits, rate_bits});
-    free_groups_.push_back(slot.group);
-  }
+  const uint32_t id = slot.group;
+  Group& group = groups_[id];
+  if (slot.prev != kNone) slots_[slot.prev].next = slot.next;
+  else group.head = slot.next;
+  if (slot.next != kNone) slots_[slot.next].prev = slot.prev;
   slot.group = kNone;
+  if (--group.size > 0) return;
+  // Free the group: backward-shift deletion keeps every probe chain intact.
+  const size_t mask = index_.size() - 1;
+  size_t hole = Bucket(group.shape, group.rate);
+  while (index_[hole] != id) hole = (hole + 1) & mask;
+  for (size_t probe = (hole + 1) & mask; index_[probe] != kNone;
+       probe = (probe + 1) & mask) {
+    const Group& other = groups_[index_[probe]];
+    const size_t home = Bucket(other.shape, other.rate);
+    // `other` may move into the hole unless its home lies in (hole, probe].
+    const bool stays = hole <= probe ? (hole < home && home <= probe)
+                                     : (hole < home || home <= probe);
+    if (!stays) {
+      index_[hole] = index_[probe];
+      hole = probe;
+    }
+  }
+  index_[hole] = kNone;
+  group.head = free_groups_;
+  free_groups_ = id;
 }
 
 size_t ThompsonPolicy::PickChunk(const ChunkStatsTable& stats,
@@ -122,7 +149,10 @@ size_t ThompsonPolicy::PickKeyed(const ChunkStatsTable& stats,
                                  const std::vector<bool>& eligible, uint64_t key) {
   CheckPriors(stats);
   const size_t num_chunks = stats.NumChunks();
-  if (slots_.size() != num_chunks) ResetGroups(num_chunks);
+  if (&stats != table_ || slots_.size() != num_chunks) {
+    ResetGroups(num_chunks);
+    table_ = &stats;
+  }
   for (Group& group : groups_) group.best_chunk = kNone;
 
   // One pass: bring each chunk's membership up to date, hash it, and keep
@@ -135,7 +165,7 @@ size_t ThompsonPolicy::PickKeyed(const ChunkStatsTable& stats,
       continue;
     }
     const ChunkState& state = stats.State(j);
-    if (slot.group == kNone || state.n != slot.n || state.n1 != slot.n1) Join(j, state);
+    if (slot.group == kNone || static_cast<uint32_t>(state.n) != slot.n) Join(j, state);
     const uint64_t hash = common::KeyedHash(key, j);
     Group& group = groups_[slot.group];
     if (group.best_chunk == kNone || hash > group.best_hash) {
@@ -154,16 +184,19 @@ size_t ThompsonPolicy::PickKeyed(const ChunkStatsTable& stats,
   };
   // Large groups first: their maxima set a high floor for the rest.
   for (Group& group : groups_) {
-    if (group.members.size() < kGroupCrossover) continue;
-    if (std::isnan(group.log_gamma)) group.log_gamma = common::LogGamma(group.shape);
+    if (group.size < kGroupCrossover) continue;
+    if (!group.has_log_gamma) {
+      group.log_gamma = common::LogGamma(group.shape);
+      group.has_log_gamma = true;
+    }
     consider(common::GammaQuantile(group.shape, group.log_gamma,
                                    common::UnitFromBits(group.best_hash)) /
                  group.rate,
              group.best_chunk);
   }
   for (const Group& group : groups_) {
-    if (group.members.empty() || group.members.size() >= kGroupCrossover) continue;
-    for (uint32_t j : group.members) {
+    if (group.size == 0 || group.size >= kGroupCrossover) continue;
+    for (uint32_t j = group.head; j != kNone; j = slots_[j].next) {
       common::SplitMixStream stream(common::KeyedHash(key, j));
       consider(group.sampler.Draw(stream, group.rate, best), j);
     }

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -95,14 +94,16 @@ class BeliefChunkPolicy : public ChunkPolicy {
 /// Ties go to the lowest chunk index: equal U within a group, and equal draws
 /// across groups. Group membership follows the table incrementally: a chunk
 /// moves only when its (n, N1) or its eligibility changed since the last
-/// pick, and `SetChunkPriors` regroups everything.
+/// pick; `SetChunkPriors`, or a pick over a different table, regroups
+/// everything.
 class ThompsonPolicy : public BeliefChunkPolicy {
  public:
   /// Groups below this size draw per member; from it on, one inversion per
   /// group is cheaper. Set from `bench_micro`: `BM_ThompsonGroupInversion`
-  /// costs 0.5–1.3 us and `BM_ThompsonKeyedDraw` 15–35 ns, so an inversion
-  /// costs about as much as 30–50 keyed draws.
-  static constexpr size_t kGroupCrossover = 32;
+  /// costs 0.5–1.5 us (up to 3 us for shape 0.1 near x = 1.1) and
+  /// `BM_ThompsonKeyedDraw` 15–35 ns, so an inversion costs about as much as
+  /// 30–90 keyed draws.
+  static constexpr size_t kGroupCrossover = 64;
 
   explicit ThompsonPolicy(BeliefParams params = {}) : BeliefChunkPolicy(params) {}
   size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
@@ -118,36 +119,45 @@ class ThompsonPolicy : public BeliefChunkPolicy {
  private:
   static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  // The (n, N1) a chunk was grouped with, and where it sits.
+  // A chunk's place in its group. Every `ChunkStatsTable::Update` bumps n,
+  // so the low bits of the n it was grouped at tell whether its belief may
+  // have moved. 16 bytes, so a 60-chunk table's slots stay below glibc's
+  // 1 KiB large-request size (see ROADMAP's dead ends on first-pick
+  // allocations).
   struct Slot {
-    uint64_t n = 0;
-    int64_t n1 = 0;
+    uint32_t n = 0;
     uint32_t group = kNone;  // kNone: ineligible or not yet grouped.
-    uint32_t pos = 0;        // Index in the group's `members`.
+    uint32_t prev = kNone;   // Neighbors in the group's member list.
+    uint32_t next = kNone;
   };
   struct Group {
     double shape = 0.0;
     double rate = 0.0;
     common::GammaSampler sampler;
-    double log_gamma = std::numeric_limits<double>::quiet_NaN();  // Lazily.
-    std::vector<uint32_t> members;
+    double log_gamma = 0.0;  // Computed when the group first inverts.
+    bool has_log_gamma = false;
+    uint32_t size = 0;
+    uint32_t head = kNone;  // First member; next free group once freed.
     // This pick's largest hash among the members, and its chunk.
     uint64_t best_hash = 0;
     uint32_t best_chunk = kNone;
-  };
-  using BeliefKey = std::pair<uint64_t, uint64_t>;  // Bits of (shape, rate).
-  struct BeliefKeyHash {
-    size_t operator()(const BeliefKey& k) const;
   };
 
   void ResetGroups(size_t num_chunks);
   void Join(uint32_t chunk, const ChunkState& state);
   void Leave(uint32_t chunk);
+  // Home bucket of a belief in `index_`.
+  size_t Bucket(double shape, double rate) const;
 
+  // Everything below is sized once per chunk count, so a pick allocates
+  // nothing once the groups exist.
+  const ChunkStatsTable* table_ = nullptr;  // The table the slots follow.
   std::vector<Slot> slots_;
   std::vector<Group> groups_;
-  std::vector<uint32_t> free_groups_;
-  std::unordered_map<BeliefKey, uint32_t, BeliefKeyHash> group_of_belief_;
+  uint32_t free_groups_ = kNone;  // Head of the freed groups, linked by `head`.
+  // Open addressing (linear probing) from belief to group id; a power of two
+  // at least twice the chunk count, so it never fills.
+  std::vector<uint32_t> index_;
 };
 
 /// \brief Bayes-UCB (Kaufmann): use the upper 1 - 1/t quantile of the same

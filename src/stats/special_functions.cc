@@ -1,151 +1,25 @@
 #include "stats/special_functions.h"
 
 #include <cassert>
-#include <cmath>
-#include <limits>
+
+#include "common/rng.h"
 
 namespace exsample {
 namespace stats {
 
-namespace {
-
-constexpr int kMaxIterations = 500;
-constexpr double kEpsilon = 1e-15;
-constexpr double kTiny = 1e-300;
-
-// Series representation of P(a, x), valid (fast-converging) for x < a + 1.
-double GammaPSeries(double a, double x) {
-  double term = 1.0 / a;
-  double sum = term;
-  double ap = a;
-  for (int i = 0; i < kMaxIterations; ++i) {
-    ap += 1.0;
-    term *= x / ap;
-    sum += term;
-    if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
-  }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-}
-
-// Continued-fraction representation of Q(a, x), valid for x >= a + 1
-// (modified Lentz algorithm).
-double GammaQContinuedFraction(double a, double x) {
-  double b = x + 1.0 - a;
-  double c = 1.0 / kTiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= kMaxIterations; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = b + an / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    const double delta = d * c;
-    h *= delta;
-    if (std::fabs(delta - 1.0) < kEpsilon) break;
-  }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-}
-
-}  // namespace
-
 double RegularizedGammaP(double a, double x) {
-  assert(a > 0.0);
-  if (x <= 0.0) return 0.0;
-  if (std::isinf(x)) return 1.0;
-  if (x < a + 1.0) return GammaPSeries(a, x);
-  return 1.0 - GammaQContinuedFraction(a, x);
+  return common::RegularizedGammaP(a, x, common::LogGamma(a));
 }
 
 double RegularizedGammaQ(double a, double x) {
-  assert(a > 0.0);
-  if (x <= 0.0) return 1.0;
-  if (std::isinf(x)) return 0.0;
-  if (x < a + 1.0) return 1.0 - GammaPSeries(a, x);
-  return GammaQContinuedFraction(a, x);
+  return common::RegularizedGammaQ(a, x, common::LogGamma(a));
 }
 
 double InverseRegularizedGammaP(double a, double p) {
   assert(a > 0.0);
   assert(p >= 0.0 && p < 1.0);
   if (p == 0.0) return 0.0;
-
-  // Wilson–Hilferty: the cube root of a Gamma variate is approximately
-  // normal. z is the standard-normal quantile of p (Acklam-lite rational
-  // approximation is overkill here; use a crude bisection-free estimate and
-  // let Newton clean it up).
-  const double z = [](double q) {
-    // Beasley–Springer–Moro style inverse-normal approximation.
-    static const double a1 = -39.69683028665376, a2 = 220.9460984245205,
-                        a3 = -275.9285104469687, a4 = 138.3577518672690,
-                        a5 = -30.66479806614716, a6 = 2.506628277459239;
-    static const double b1 = -54.47609879822406, b2 = 161.5858368580409,
-                        b3 = -155.6989798598866, b4 = 66.80131188771972,
-                        b5 = -13.28068155288572;
-    static const double c1 = -0.007784894002430293, c2 = -0.3223964580411365,
-                        c3 = -2.400758277161838, c4 = -2.549732539343734,
-                        c5 = 4.374664141464968, c6 = 2.938163982698783;
-    static const double d1 = 0.007784695709041462, d2 = 0.3224671290700398,
-                        d3 = 2.445134137142996, d4 = 3.754408661907416;
-    const double p_low = 0.02425;
-    if (q < p_low) {
-      const double r = std::sqrt(-2.0 * std::log(q));
-      return (((((c1 * r + c2) * r + c3) * r + c4) * r + c5) * r + c6) /
-             ((((d1 * r + d2) * r + d3) * r + d4) * r + 1.0);
-    }
-    if (q <= 1.0 - p_low) {
-      const double r = q - 0.5;
-      const double s = r * r;
-      return (((((a1 * s + a2) * s + a3) * s + a4) * s + a5) * s + a6) * r /
-             (((((b1 * s + b2) * s + b3) * s + b4) * s + b5) * s + 1.0);
-    }
-    const double r = std::sqrt(-2.0 * std::log(1.0 - q));
-    return -(((((c1 * r + c2) * r + c3) * r + c4) * r + c5) * r + c6) /
-           ((((d1 * r + d2) * r + d3) * r + d4) * r + 1.0);
-  }(p);
-
-  const double t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * std::sqrt(a));
-  double x = a * t * t * t;
-  if (x <= 0.0 || !std::isfinite(x)) x = a * std::exp((std::log(p) + std::lgamma(a + 1.0)) / a);
-  if (x <= 0.0 || !std::isfinite(x)) x = kTiny;
-
-  // Safeguarded Newton on f(x) = P(a, x) - p with bracketing fallback. For
-  // small shapes the root can sit at extreme scales (e.g. 1e-21 for a = 0.1,
-  // p = 0.01), so the fallback bisects *geometrically*, which resolves any
-  // double-precision magnitude in ~60 steps.
-  double lo = 0.0;
-  double hi = std::numeric_limits<double>::infinity();
-  for (int iter = 0; iter < 300; ++iter) {
-    const double f = RegularizedGammaP(a, x) - p;
-    if (std::fabs(f) < 1e-12) break;
-    if (f > 0.0) {
-      hi = std::min(hi, x);
-    } else {
-      lo = std::max(lo, x);
-    }
-    const double log_pdf = -x + (a - 1.0) * std::log(x) - std::lgamma(a);
-    const double pdf = std::exp(log_pdf);
-    double next;
-    if (pdf > 0.0 && std::isfinite(pdf)) {
-      next = x - f / pdf;
-    } else {
-      next = std::numeric_limits<double>::quiet_NaN();
-    }
-    if (!(next > lo && next < hi) || !std::isfinite(next)) {
-      if (std::isinf(hi)) {
-        next = x * 2.0;
-      } else if (lo <= 0.0) {
-        next = hi / 2.0;
-      } else {
-        next = std::sqrt(lo * hi);
-      }
-    }
-    if (next == x) break;
-    x = next;
-  }
-  return x;
+  return common::GammaQuantile(a, common::LogGamma(a), {p, 1.0 - p});
 }
 
 }  // namespace stats

@@ -7,18 +7,16 @@ namespace stats {
 /// \brief Regularized lower incomplete gamma function P(a, x).
 ///
 /// P(a, x) = gamma(a, x) / Gamma(a), for a > 0 and x >= 0. This is the CDF of
-/// a Gamma(shape=a, rate=1) random variable evaluated at x. Uses the series
-/// expansion for x < a + 1 and the Lentz continued fraction otherwise
-/// (Numerical Recipes `gammp`/`gammq`), accurate to ~1e-12.
+/// a Gamma(shape=a, rate=1) random variable evaluated at x
+/// (`common::RegularizedGammaP` with log Gamma(a) computed on the spot).
 double RegularizedGammaP(double a, double x);
 
 /// \brief Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x).
 double RegularizedGammaQ(double a, double x);
 
 /// \brief Inverse of `RegularizedGammaP` in x: returns x such that
-/// P(a, x) = p, for p in [0, 1).
-///
-/// Wilson–Hilferty initial guess refined with safeguarded Newton iterations.
+/// P(a, x) = p, for p in [0, 1). `common::GammaQuantile` with its upper tail
+/// taken as 1 - p.
 double InverseRegularizedGammaP(double a, double p);
 
 }  // namespace stats

@@ -342,19 +342,23 @@ TEST(KeyedGammaDrawTest, QuantileRoundTripsThroughBothTails) {
 }
 
 TEST(ThompsonPolicyTest, PickFrequenciesMatchSerialLoop) {
-  // A table with a 40-chunk belief group (inverted once per pick), mid-sized
+  // A table with a 70-chunk belief group (inverted once per pick), mid-sized
   // and singleton groups (drawn per chunk), and an ineligible chunk: the
   // keyed kernel and the serial loop it replaced must pick each chunk equally
   // often. Two-sample chi-square over the chunks either side picked.
-  constexpr size_t kChunks = 60;
+  constexpr size_t kChunks = 90;
+  constexpr size_t kShared = 70;
+  static_assert(kShared >= ThompsonPolicy::kGroupCrossover, "group path untested");
   constexpr int kPicks = 40000;
   ChunkStatsTable stats(kChunks);
   for (size_t j = 0; j < kChunks; ++j) {
-    const size_t samples = j < 40 ? 3 : 1 + j % 7;
-    for (size_t i = 0; i < samples; ++i) stats.Update(j, j >= 40 && i == 0 ? 1 : 0, 0);
+    const size_t samples = j < kShared ? 3 : 1 + j % 7;
+    for (size_t i = 0; i < samples; ++i) {
+      stats.Update(j, j >= kShared && i == 0 ? 1 : 0, 0);
+    }
   }
   std::vector<bool> eligible(kChunks, true);
-  eligible[45] = false;
+  eligible[75] = false;
   ThompsonPolicy policy;
   common::Rng keyed_rng(31), serial_rng(32);
   std::vector<double> keyed(kChunks, 0.0), serial(kChunks, 0.0);
@@ -362,7 +366,7 @@ TEST(ThompsonPolicyTest, PickFrequenciesMatchSerialLoop) {
     keyed[policy.PickChunk(stats, eligible, keyed_rng)] += 1.0;
     serial[SerialThompsonPick(stats, eligible, {}, serial_rng)] += 1.0;
   }
-  EXPECT_EQ(keyed[45], 0.0);
+  EXPECT_EQ(keyed[75], 0.0);
   double chi2 = 0.0;
   int cells = 0;
   for (size_t j = 0; j < kChunks; ++j) {
@@ -373,8 +377,8 @@ TEST(ThompsonPolicyTest, PickFrequenciesMatchSerialLoop) {
   const double dof = static_cast<double>(cells - 1);
   const double p_value = stats::RegularizedGammaQ(dof / 2.0, chi2 / 2.0);
   EXPECT_GT(p_value, 1e-3) << "chi2 " << chi2 << " over " << cells << " chunks";
-  // The group really is one: all 40 of its chunks are picked.
-  for (size_t j = 0; j < 40; ++j) EXPECT_GT(keyed[j], 0.0) << "chunk " << j;
+  // The group really is one: all of its chunks are picked.
+  for (size_t j = 0; j < kShared; ++j) EXPECT_GT(keyed[j], 0.0) << "chunk " << j;
 }
 
 TEST(BayesUcbPolicyTest, FavorsUnsampledChunksEarly) {
