@@ -203,6 +203,14 @@ class DetectorService {
   /// Handle of one shipped flush (`Ship`); 0 names no flush.
   using FlushId = uint64_t;
 
+  /// Batches in a row that must exhaust their retries on one runner, with no
+  /// success from it between, before it is marked down.
+  static constexpr uint32_t kDownAfterFailedBatches = 2;
+  /// Backoff before a down runner's first probe; doubled after each failed
+  /// probe up to the cap.
+  static constexpr double kProbeBackoffSeconds = 0.05;
+  static constexpr double kProbeBackoffCapSeconds = 5.0;
+
   /// \brief Wall-clock split of the flushes since the last
   /// `TakeFlushTiming`: what a pipelined driver weighs to decide whether
   /// splitting a round into two half-waves pays.
@@ -441,16 +449,6 @@ class DetectorService {
   /// only one up; false when none is.
   bool NextLiveRunner(uint32_t from, uint32_t* runner) const;
 
- public:
-  /// Batches in a row that must exhaust their retries on one runner, with no
-  /// success from it between, before it is marked down.
-  static constexpr uint32_t kDownAfterFailedBatches = 2;
-  /// Backoff before a down runner's first probe; doubled after each failed
-  /// probe up to the cap.
-  static constexpr double kProbeBackoffSeconds = 0.05;
-  static constexpr double kProbeBackoffCapSeconds = 5.0;
-
- private:
   // Health of one shard runner.
   struct RunnerHealth {
     bool down = false;
