@@ -12,9 +12,9 @@
 // counts are approximately scale-invariant (see datasets/presets.h).
 //
 // Every (dataset, class, run) query is independent and deterministic, so the
-// queries run on a `common::ThreadPool` (--threads=N, default one per
-// hardware thread) and their traces are gathered in a fixed order: the table
-// is byte-identical at any thread count.
+// queries run on a `common::ThreadPool` (one worker per hardware thread) and
+// their traces are gathered in a fixed order: the table is byte-identical to
+// a serial run.
 //
 // --check is the fidelity gate: it exits 1 when the summary's geometric
 // mean, p10, p90, best, or worst ratio falls outside its band (kBands below,
@@ -68,12 +68,8 @@ int Main(int argc, char** argv) {
   const double scale = config.full ? 0.25 : 0.1;
   const std::vector<double> recalls{0.1, 0.5, 0.9};
   bool check = false;
-  size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<size_t>(std::atoll(argv[i] + 10));
-    }
   }
 
   std::printf("=== Fig. 5: savings ratio ExSample vs random, all queries ===\n");
@@ -97,7 +93,7 @@ int Main(int argc, char** argv) {
     }
   }
   std::vector<TaskResult> results(tasks.size());
-  common::ThreadPool pool(threads);
+  common::ThreadPool pool;
   pool.ParallelFor(tasks.size(), [&](size_t i) {
     const Task& task = tasks[i];
     const datasets::BuiltDataset& ds = *task.dataset;
