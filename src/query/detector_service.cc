@@ -1,6 +1,8 @@
 #include "query/detector_service.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <utility>
 
 namespace exsample {
@@ -343,9 +345,11 @@ void DetectorService::ReceiveOne() {
     return;
   }
   if (health.down) {
-    // Down runners get no retries. A failed probe backs off further; a batch
-    // sent before the runner went down just moves on.
+    // Down runners get no retries. A failed probe backs off further, and one
+    // that failed with the backoff already at its cap gives the runner up; a
+    // batch sent before the runner went down just moves on.
     if (slice.probe) {
+      health.given_up = health.backoff >= kProbeBackoffCapSeconds;
       health.backoff = std::min(2.0 * health.backoff, kProbeBackoffCapSeconds);
       health.probe_at = WireClockSeconds() + health.backoff;
     }
@@ -355,14 +359,14 @@ void DetectorService::ReceiveOne() {
     stats_.shards_down += 1;
   }
   uint32_t next = 0;
-  if (!NextLiveRunner(slice.runner, &next)) {
+  if (!NextLiveRunner(slice.runner, &next) && !AwaitProbe(&next)) {
     inflight_.erase(it);
     FailTransport(common::Status::Internal(
         "detect transport failed permanently: every shard runner is down"));
     return;
   }
   slice.runner = next;
-  slice.probe = false;
+  slice.probe = runners_[next].down;  // Only probes reach one.
   slice.attempt += 1;
   slice.runner_attempts = 0;  // Fresh retry budget on the new runner.
   stats_.wire_requeues += 1;
@@ -469,14 +473,7 @@ bool DetectorService::RouteShard(uint32_t origin, uint32_t* runner) {
     *runner = origin;
     return true;
   }
-  for (uint32_t d = 1; d < runners_.size(); ++d) {
-    const uint32_t s = (origin + d) % static_cast<uint32_t>(runners_.size());
-    if (!runners_[s].down) {
-      *runner = s;
-      return true;
-    }
-  }
-  return false;
+  return NextLiveRunner(origin, runner) || AwaitProbe(runner);
 }
 
 bool DetectorService::NextLiveRunner(uint32_t from, uint32_t* runner) const {
@@ -488,6 +485,23 @@ bool DetectorService::NextLiveRunner(uint32_t from, uint32_t* runner) const {
     }
   }
   return false;
+}
+
+bool DetectorService::AwaitProbe(uint32_t* runner) {
+  bool found = false;
+  for (uint32_t s = 0; s < runners_.size(); ++s) {
+    if (runners_[s].given_up) continue;
+    if (!found || runners_[s].probe_at < runners_[*runner].probe_at) {
+      *runner = s;
+      found = true;
+    }
+  }
+  if (!found) return false;
+  RunnerHealth& health = runners_[*runner];
+  const double wait = health.probe_at - WireClockSeconds();
+  if (wait > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+  health.probing = true;
+  return true;
 }
 
 void DetectorService::FailTransport(common::Status status) {

@@ -90,8 +90,10 @@ struct DetectorServiceOptions {
   /// marked down only when `kDownAfterFailedBatches` batches in a row
   /// exhausted their budget on it with no success between; a down runner is
   /// probed with its own shard's next batch after a capped backoff and
-  /// re-admitted when the probe succeeds. When every runner is down the
-  /// service fails sticky — `transport_status()`.
+  /// re-admitted when the probe succeeds. When every runner is down, the
+  /// batch waits for the probe due soonest and is sent as it; the service
+  /// fails sticky — `transport_status()` — only once every runner has failed
+  /// a probe at the backoff cap.
   size_t max_retries = 2;
   /// Fingerprint stamped into every wire request
   /// (`video::VideoRepository::Fingerprint`); 0 disables the runner-side
@@ -190,9 +192,11 @@ struct DetectorServiceStats {
 /// fixed ticket slots either way. Failed batches are retried `max_retries`
 /// times, then requeued onto another live runner with `origin_shard`
 /// (and therefore the serving detector contexts and the charged seconds)
-/// unchanged; when every runner is down the service goes sticky-failed
-/// (`transport_status()`) and `CancelPending` releases whatever could not
-/// complete, so the driver can surface the error instead of hanging.
+/// unchanged, or onto a down runner's probe when none is live; when every
+/// runner has failed its probes up to the backoff cap the service goes
+/// sticky-failed (`transport_status()`) and `CancelPending` releases
+/// whatever could not complete, so the driver can surface the error instead
+/// of hanging.
 ///
 /// One coordinator thread drives the service (Submit/Poll/Ship/Collect/
 /// Flush/Take); only the transport's shard runners and their per-frame
@@ -207,9 +211,10 @@ class DetectorService {
   /// success from it between, before it is marked down.
   static constexpr uint32_t kDownAfterFailedBatches = 2;
   /// Backoff before a down runner's first probe; doubled after each failed
-  /// probe up to the cap.
+  /// probe up to the cap. A fleet with no live runner is given up after
+  /// about 2.5 s of failed probes (0.05 + 0.1 + ... + 0.8 + 1).
   static constexpr double kProbeBackoffSeconds = 0.05;
-  static constexpr double kProbeBackoffCapSeconds = 5.0;
+  static constexpr double kProbeBackoffCapSeconds = 1.0;
 
   /// \brief Wall-clock split of the flushes since the last
   /// `TakeFlushTiming`: what a pipelined driver weighs to decide whether
@@ -311,7 +316,7 @@ class DetectorService {
   std::vector<detect::Detections> Take(Ticket ticket);
 
   /// \brief OK until the transport permanently fails (every shard runner
-  /// down, or an unrecoverable wire error); then the sticky error. Drivers
+  /// given up, or an unrecoverable wire error); then the sticky error. Drivers
   /// must check after flushing and abandon the workload on failure — pending
   /// tickets are cancelled, never completed.
   const common::Status& transport_status() const { return transport_status_; }
@@ -442,17 +447,22 @@ class DetectorService {
 
   /// Picks the runner for `origin`'s batches: `origin` itself while its
   /// runner is up or due a probe (which this claims), else the next
-  /// surviving shard. Returns false — leaving `*runner` untouched — when
-  /// every runner is down.
+  /// surviving shard, else `AwaitProbe`. Returns false when every runner is
+  /// given up.
   bool RouteShard(uint32_t origin, uint32_t* runner);
   /// The next live runner after `from`, or `from` itself when it is the
   /// only one up; false when none is.
   bool NextLiveRunner(uint32_t from, uint32_t* runner) const;
+  /// For a batch with no live runner to go to: sleeps until the probe due
+  /// soonest among the runners not given up, and claims it. False when every
+  /// runner is given up.
+  bool AwaitProbe(uint32_t* runner);
 
   // Health of one shard runner.
   struct RunnerHealth {
     bool down = false;
     bool probing = false;          // A probe batch is on the wire.
+    bool given_up = false;         // A probe failed at the backoff cap.
     uint32_t failed_batches = 0;   // Exhausted batches since its last success.
     double probe_at = 0.0;         // Wall clock of the next probe, when down.
     double backoff = kProbeBackoffSeconds;

@@ -830,6 +830,10 @@ class ScriptedTransport : public query::ShardTransport {
     response.wire_seq = request.wire_seq;
     response.origin_shard = request.origin_shard;
     response.attempt = request.attempt;
+    if (runner_shard == 0 && shard0_sends_to_revival_ > 0 &&
+        --shard0_sends_to_revival_ == 0) {
+      shard0_dead_ = false;
+    }
     if (runner_shard == 0 ? shard0_dead_ : failed_once_.insert(request.wire_seq).second) {
       response.status = query::WireStatus::kUnavailable;
     } else {
@@ -851,9 +855,12 @@ class ScriptedTransport : public query::ShardTransport {
   query::TransportStats Stats() const override { return stats_; }
   /// Shard 0 serves from now on.
   void ReviveShard0() { shard0_dead_ = false; }
+  /// Shard 0 serves from its `sends`-th next batch on.
+  void ReviveShard0After(uint64_t sends) { shard0_sends_to_revival_ = sends; }
 
  private:
   bool shard0_dead_ = true;
+  uint64_t shard0_sends_to_revival_ = 0;  // 0: no revival scheduled.
   const query::SessionResolver* resolver_ = nullptr;
   std::vector<query::WireCompletion> completed_;
   std::set<uint64_t> failed_once_;
@@ -929,6 +936,42 @@ TEST(DistTransportTest, DownRunnerIsProbedAndReadmitted) {
   ASSERT_TRUE(service.Ready(ticket));
   fixture.ExpectDirectDetections(frames, service.Take(ticket));
   EXPECT_EQ(service.stats().shards_readmitted, 1u);
+  EXPECT_TRUE(service.transport_status().ok());
+}
+
+TEST(DistTransportTest, SoleRunnerDownIsProbedUntilItRecovers) {
+  // One shard whose runner refuses every batch for a while. With no other
+  // runner to requeue onto, the batch waits out each probe's backoff and is
+  // sent as the probe; the runner recovers on the 8th send and the flush
+  // completes. Sends: 2 exhausted batches of 2 (down after the 4th), then
+  // probes after 0.05, 0.1 and 0.2 s fail and the one after 0.4 s serves.
+  ServiceFixture fixture;
+  ScriptedTransport transport;
+  transport.ReviveShard0After(8);
+  query::DetectorServiceOptions options;
+  options.device_batch = 8;
+  options.max_retries = 1;
+  options.transport = &transport;
+  query::DetectorService service(options, 1);
+
+  const std::vector<video::FrameId> frames = {10, 20, 30};
+  const auto ticket = service.Submit(fixture.Request(frames));
+  service.Flush();
+  ASSERT_TRUE(service.transport_status().ok()) << service.transport_status().ToString();
+  ASSERT_TRUE(service.Ready(ticket));
+  fixture.ExpectDirectDetections(frames, service.Take(ticket));
+  const query::DetectorServiceStats& stats = service.stats();
+  EXPECT_EQ(stats.shards_down, 1u);
+  EXPECT_EQ(stats.shards_readmitted, 1u);
+  EXPECT_EQ(stats.wire_retries, 2u);
+  EXPECT_EQ(stats.wire_requeues, 5u);  // Once onto itself, then four probes.
+
+  // Re-admitted: the next flush is served at once.
+  const auto next = service.Submit(fixture.Request(frames));
+  service.Flush();
+  ASSERT_TRUE(service.Ready(next));
+  fixture.ExpectDirectDetections(frames, service.Take(next));
+  EXPECT_EQ(stats.wire_requeues, 5u);
   EXPECT_TRUE(service.transport_status().ok());
 }
 
