@@ -77,20 +77,20 @@ double GammaCdfError(double a, double x, double log_gamma_a, TailProbability tai
 
 }  // namespace
 
-double RegularizedGammaP(double a, double x, double log_gamma_a) {
+double RegularizedGammaP(double a, double x) {
   assert(a > 0.0);
   if (x <= 0.0) return 0.0;
   if (std::isinf(x)) return 1.0;
-  if (x < a + 1.0) return LowerGammaSeries(a, x, log_gamma_a);
-  return 1.0 - UpperGammaFraction(a, x, log_gamma_a);
+  if (x < a + 1.0) return LowerGammaSeries(a, x, LogGamma(a));
+  return 1.0 - UpperGammaFraction(a, x, LogGamma(a));
 }
 
-double RegularizedGammaQ(double a, double x, double log_gamma_a) {
+double RegularizedGammaQ(double a, double x) {
   assert(a > 0.0);
   if (x <= 0.0) return 1.0;
   if (std::isinf(x)) return 0.0;
-  if (x < a + 1.0) return 1.0 - LowerGammaSeries(a, x, log_gamma_a);
-  return UpperGammaFraction(a, x, log_gamma_a);
+  if (x < a + 1.0) return 1.0 - LowerGammaSeries(a, x, LogGamma(a));
+  return UpperGammaFraction(a, x, LogGamma(a));
 }
 
 const NormalZiggurat& NormalZiggurat::Get() {

@@ -158,7 +158,9 @@ class SplitMixStream {
   /// Standard normal variate by the ziggurat: one output, a compare and a
   /// multiply for ~99% of variates, where the polar method pays a log, a
   /// sqrt and a divide for every pair. A keyed draw needs one normal, so the
-  /// polar pair's second half would be wasted.
+  /// polar pair's second half would be wasted. Measured in `bench_micro`, the
+  /// polar method here doubles a keyed draw (15-16 ns -> 36-45 ns at shapes
+  /// 1.1 and 5.1) and `BM_ThompsonPickDistinctBeliefs` (42-44 us -> 80-96 us).
   double Normal() {
     const NormalZiggurat& zig = NormalZiggurat::Get();
     for (;;) {
@@ -216,14 +218,14 @@ inline TailProbability UnitFromBits(uint64_t bits) {
 double LogGamma(double x);
 
 /// \brief Regularized lower incomplete gamma function P(a, x), the CDF of
-/// Gamma(shape a, rate 1) at x, for a > 0 and x >= 0, given log Gamma(a).
-/// Series below x = a + 1, Lentz continued fraction above (Numerical
-/// Recipes `gammp`), accurate to ~1e-15.
-double RegularizedGammaP(double a, double x, double log_gamma_a);
+/// Gamma(shape a, rate 1) at x, for a > 0 and x >= 0. Series below
+/// x = a + 1, Lentz continued fraction above (Numerical Recipes `gammp`),
+/// accurate to ~1e-15.
+double RegularizedGammaP(double a, double x);
 
 /// \brief Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x),
 /// computed directly in the upper tail, so a tiny Q keeps its precision.
-double RegularizedGammaQ(double a, double x, double log_gamma_a);
+double RegularizedGammaQ(double a, double x);
 
 /// \brief Inverse of the Gamma(shape, rate 1) CDF: the x with
 /// P(shape, x) = tail.p, equivalently Q(shape, x) = tail.q, where P and Q are

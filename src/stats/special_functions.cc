@@ -8,11 +8,11 @@ namespace exsample {
 namespace stats {
 
 double RegularizedGammaP(double a, double x) {
-  return common::RegularizedGammaP(a, x, common::LogGamma(a));
+  return common::RegularizedGammaP(a, x);
 }
 
 double RegularizedGammaQ(double a, double x) {
-  return common::RegularizedGammaQ(a, x, common::LogGamma(a));
+  return common::RegularizedGammaQ(a, x);
 }
 
 double InverseRegularizedGammaP(double a, double p) {

@@ -8,7 +8,7 @@ namespace stats {
 ///
 /// P(a, x) = gamma(a, x) / Gamma(a), for a > 0 and x >= 0. This is the CDF of
 /// a Gamma(shape=a, rate=1) random variable evaluated at x
-/// (`common::RegularizedGammaP` with log Gamma(a) computed on the spot).
+/// (`common::RegularizedGammaP`).
 double RegularizedGammaP(double a, double x);
 
 /// \brief Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -181,6 +182,51 @@ TEST(GammaSamplerTest, FloorIsExactAboveAndBelowIt) {
     EXPECT_GT(below, 0);
     EXPECT_EQ(plain.NextU64(), floored.NextU64());
   }
+}
+
+// Kolmogorov–Smirnov distance between `sorted` and a CDF.
+template <typename Cdf>
+double KsDistance(const std::vector<double>& sorted, Cdf cdf) {
+  const double n = static_cast<double>(sorted.size());
+  double d = 0.0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const double f = cdf(sorted[i]);
+    d = std::max(d, std::max(f - static_cast<double>(i) / n,
+                             static_cast<double>(i + 1) / n - f));
+  }
+  return d;
+}
+
+TEST(SplitMixStreamTest, ZigguratNormalFollowsTheNormalCdfIntoTheTail) {
+  // Enough draws that ~1200 land beyond the base layer's edge R and take
+  // the tail sampler. Checked three ways, each at alpha ~0.001: the whole
+  // sample against Phi, the share beyond +-R against 2 Q(R), and the
+  // magnitudes beyond R against the conditional tail 1 - Q(x) / Q(R).
+  constexpr size_t kDraws = size_t{1} << 21;
+  const double r = NormalZiggurat::kTailStart;
+  const auto upper = [](double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); };
+  SplitMixStream stream(41);
+  std::vector<double> draws(kDraws), tail;
+  size_t negative_tail = 0;
+  for (double& x : draws) {
+    x = stream.Normal();
+    if (std::fabs(x) > r) {
+      tail.push_back(std::fabs(x));
+      if (x < 0.0) ++negative_tail;
+    }
+  }
+  std::sort(draws.begin(), draws.end());
+  const double critical = 1.95 / std::sqrt(static_cast<double>(kDraws));
+  EXPECT_LT(KsDistance(draws, [&](double x) { return upper(-x); }), critical);
+
+  const double expected_tail = 2.0 * upper(r) * static_cast<double>(kDraws);
+  EXPECT_NEAR(static_cast<double>(tail.size()), expected_tail,
+              3.3 * std::sqrt(expected_tail));
+  EXPECT_NEAR(static_cast<double>(negative_tail), 0.5 * static_cast<double>(tail.size()),
+              3.3 * 0.5 * std::sqrt(static_cast<double>(tail.size())));
+  std::sort(tail.begin(), tail.end());
+  EXPECT_LT(KsDistance(tail, [&](double x) { return 1.0 - upper(x) / upper(r); }),
+            1.95 / std::sqrt(static_cast<double>(tail.size())));
 }
 
 class RngPoissonTest : public ::testing::TestWithParam<double> {};
